@@ -45,7 +45,6 @@ from .pnp import (
     PnpConfig,
     default_config,
     primal_residual,
-    reconstruct,
     unmix,
 )
 from .qp import QpProblem, QpSolution, build_subproblem, fcls, solve_simplex_qp
@@ -80,7 +79,6 @@ __all__ = [
     "PnpConfig",
     "AdmmState",
     "unmix",
-    "reconstruct",
     "primal_residual",
     "default_config",
     "SceneSpec",

@@ -44,7 +44,8 @@ from .io import (
     write_graymap,
 )
 from .metrics import evaluate
-from .pnp import DEFAULT_ALPHA, PnpConfig, default_config, reconstruct, unmix
+from .model import mix
+from .pnp import DEFAULT_ALPHA, PnpConfig, default_config, unmix
 from .synth import SceneSpec, make_scene
 
 __all__ = ["RunConfig", "main"]
@@ -273,24 +274,22 @@ def cmd_unmix(args, workers: int) -> int:
     with _phase("configuration"):
         rc = _build_run_config(args)
     with _phase("input parsing"):
-        cube = read_cube(rc.cube)
+        observed = unfold(read_cube(rc.cube))
         endmembers = read_endmembers(rc.endmembers)
         truth = read_abundances(rc.truth) if rc.truth else None
         clean = unfold(read_cube(rc.clean)) if rc.clean else None
     with _phase("unmixing"):
-        estimate, state = unmix(
-            unfold(cube), endmembers, rc.pnp, truth=truth, workers=workers
-        )
+        estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth, workers=workers)
     with _phase("evaluation"):
         report = evaluate(
-            endmembers, unfold(cube), estimate, truth=truth, clean=clean,
+            endmembers, observed, estimate, truth=truth, clean=clean,
             per_iteration_rmse=state.rmse_trace,
         )
     with _phase("output writing"):
         rc.out_dir.mkdir(parents=True, exist_ok=True)
         write_abundances(rc.out_dir / ABUNDANCE_FILE, estimate)
         write_cube(rc.out_dir / RECONSTRUCTION_FILE,
-                   fold(reconstruct(endmembers, estimate)))
+                   fold(mix(endmembers, estimate)))
         if rc.emit_metrics:
             (rc.out_dir / METRICS_FILE).write_text(
                 json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"

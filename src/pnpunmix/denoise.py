@@ -157,14 +157,17 @@ def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _div(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    # negative adjoint of _grad: <grad u, p> = -<u, div p>
+    # negative adjoint of _grad: <grad u, p> = -<u, div p>; an axis of
+    # length 1 has no differences, so its term is zero
     out = np.zeros_like(p1)
-    out[0, :] = p1[0, :]
-    out[1:-1, :] = p1[1:-1, :] - p1[:-2, :]
-    out[-1, :] = -p1[-2, :]
-    out[:, 0] += p2[:, 0]
-    out[:, 1:-1] += p2[:, 1:-1] - p2[:, :-2]
-    out[:, -1] += -p2[:, -2]
+    if p1.shape[0] > 1:
+        out[0, :] = p1[0, :]
+        out[1:-1, :] = p1[1:-1, :] - p1[:-2, :]
+        out[-1, :] = -p1[-2, :]
+    if p1.shape[1] > 1:
+        out[:, 0] += p2[:, 0]
+        out[:, 1:-1] += p2[:, 1:-1] - p2[:, :-2]
+        out[:, -1] += -p2[:, -2]
     return out
 
 

@@ -37,14 +37,13 @@ from .cube import HsiCube, PixelMatrix, fold, unfold
 from .denoise import DenoiserSpec, denoise
 from .errors import ComputeError, ShapeError
 from .metrics import rmse as _rmse
-from .model import AbundanceMatrix, EndmemberMatrix, mix
-from .qp import MODES, QpProblem, _solve_batch
+from .model import AbundanceMatrix, EndmemberMatrix
+from .qp import MODES, _solve_batch
 
 __all__ = [
     "PnpConfig",
     "AdmmState",
     "unmix",
-    "reconstruct",
     "primal_residual",
     "PRESETS",
     "default_config",
@@ -215,10 +214,7 @@ def unmix(
         else:
             q = mtm + rho_k * np.eye(count)
             fs = -(mty + rho_k * x_tilde)
-        problem = QpProblem(q, np.zeros(count))
-        a, _, _, conv, _, _ = _solve_batch(
-            problem.q, fs, a, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter
-        )
+        a, _, conv, _, _ = _solve_batch(q, fs, a, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
         a_seconds.append(time.perf_counter() - tic)
         qp_flags.append(int((~conv).sum()))
         if not np.isfinite(a).all():
@@ -280,11 +276,6 @@ def unmix(
         qp_unconverged=tuple(qp_flags),
     )
     return state.a, state
-
-
-def reconstruct(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix:
-    """Model fit Y = M A for the given estimate; delegates to model.mix."""
-    return mix(endmembers, abundances)
 
 
 def primal_residual(state: AdmmState) -> float:

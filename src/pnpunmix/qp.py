@@ -10,13 +10,14 @@ equality-constrained optimum comes from a bordered KKT system; a blocking
 ratio test pins variables that would go negative, and a multiplier check
 releases the most negative active constraint (lowest index on ties).
 
-Pixels are solved in batches grouped by free-set pattern, one factorization
-per pattern.  The substitution is vectorized elementwise across columns and
+Each sweep groups the open pixels by free-set pattern with one stable
+lexsort of their P free flags (any P; ascending pixels within a group) and
+factors once per pattern.  Substitution is elementwise across columns and
 the pivot order depends only on the matrix, so every pixel's arithmetic is
-bit-identical whether it is solved alone or inside any batch.  (LAPACK's
-multi-RHS solve does not have this property, which is why the small LU
-below exists at all.)  Subproblem vectors are built with einsum for the
-same reason: BLAS matmul results depend on the batch width at the last ulp.
+bit-identical alone or in any batch; LAPACK's multi-RHS solve is not, hence
+the small LU below.  Subproblem vectors use einsum for the same reason:
+BLAS matmul results depend on the batch width at the last ulp.  KKT
+residuals are computed only for single-pixel solves (solve_simplex_qp).
 """
 
 from __future__ import annotations
@@ -239,15 +240,15 @@ def _solve_batch(
 ):
     """Active-set solve of min a'Qa/2 + f'a on the simplex, one f per column.
 
-    Returns (a, kkt_residuals, iterations, converged, shifted, trace_list).
+    Returns (a, iterations, converged, shifted, trace_list).
     All intermediate iterates are feasible; a is returned even for columns
     that hit the sweep budget, flagged in `converged`.
     """
     p, n = fs.shape
     a = np.array(a0, dtype=np.float64)
     free = a > 0.0
-    done = np.zeros(n, dtype=bool)
-    converged = np.zeros(n, dtype=bool)
+    done = np.full(n, p == 1)  # one endmember: a0 = 1 is the only feasible point
+    converged = done.copy()
     iters = np.zeros(n, dtype=np.int64)
     shifted = np.zeros(n, dtype=bool)
     delta = 1e-10 * float(np.trace(q)) / p
@@ -257,11 +258,11 @@ def _solve_batch(
         todo = np.flatnonzero(~done)
         if todo.size == 0:
             break
-        patterns, inverse = np.unique(free[:, todo].T, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        for gi in range(patterns.shape[0]):
-            fm = patterns[gi]
-            px = todo[inverse == gi]
+        sub = free[:, todo]
+        order = np.lexsort(sub[::-1])
+        cuts = np.flatnonzero(np.diff(sub[:, order], axis=1).any(axis=0)) + 1
+        for grp in np.split(order, cuts):
+            fm, px = sub[:, grp[0]], todo[grp]
             iters[px] += 1
             fi = np.flatnonzero(fm)
             nf = fi.size
@@ -328,8 +329,7 @@ def _solve_batch(
         if trace:
             trace_vals.append(float(_objective_cols(q, fs, a)[0]))
 
-    residuals = _kkt_residuals(q, fs, a)
-    return a, residuals, iters, converged, shifted, trace_vals
+    return a, iters, converged, shifted, trace_vals
 
 
 def solve_simplex_qp(
@@ -361,12 +361,12 @@ def solve_simplex_qp(
             raise ValueError("warm start must lie on the unit simplex")
         w = np.maximum(w, 0.0)
         a0 = (w / w.sum())[:, None]
-    a, res, iters, conv, shifted, trace = _solve_batch(
+    a, iters, conv, shifted, trace = _solve_batch(
         problem.q, problem.f[:, None], a0, tol=tol, max_iter=max_iter, trace=True
     )
     return QpSolution(
         a=a[:, 0],
-        kkt_residual=float(res[0]),
+        kkt_residual=float(_kkt_residuals(problem.q, problem.f[:, None], a)[0]),
         iterations=int(iters[0]),
         converged=bool(conv[0]),
         shifted=bool(shifted[0]),
@@ -401,7 +401,7 @@ def fcls(
     problem = QpProblem(m.T @ m, np.zeros(endmembers.count))
     fs = -np.einsum("li,ln->in", m, observed.values)
     a0 = np.full(fs.shape, 1.0 / endmembers.count)
-    a, _, _, conv, _, _ = _solve_batch(problem.q, fs, a0, tol=tol, max_iter=max_iter)
+    a, _, conv, _, _ = _solve_batch(problem.q, fs, a0, tol=tol, max_iter=max_iter)
     bad = int((~conv).sum())
     if bad:
         warnings.warn(

@@ -331,6 +331,25 @@ class TestDenoiseCommand:
         assert "wavelet" in capsys.readouterr().err
 
 
+class TestThinImages:
+    @pytest.mark.parametrize("rows, cols", [(1, 12), (12, 1)])
+    def test_single_row_or_column_cube_unmixes_with_tv(self, tmp_path, rows, cols):
+        rng = np.random.default_rng(3)
+        endmembers = EndmemberMatrix(rng.uniform(0.1, 0.9, size=(8, 3)))
+        truth = rng.dirichlet(np.ones(3), size=rows * cols).T
+        observed = PixelMatrix(endmembers.values @ truth, rows, cols)
+        write_cube(tmp_path / "thin.raw", fold(observed))
+        write_endmembers(tmp_path / "em.csv", endmembers)
+        out = tmp_path / "run"
+        code = main(["unmix", "--cube", str(tmp_path / "thin.raw"),
+                     "--endmembers", str(tmp_path / "em.csv"), "--out", str(out),
+                     "--mode", "pro-h", "--denoiser", "tv", "--max-iter", "3"])
+        assert code == 0
+        estimate = read_abundances(out / "abundances.raw")
+        assert estimate.values.shape == (3, rows * cols)
+        assert np.isfinite(estimate.values).all()
+
+
 class TestExitCodes:
     def test_missing_input_file_is_parse_error(self, tmp_path, capsys):
         code = main(["unmix", "--cube", str(tmp_path / "absent.raw"),

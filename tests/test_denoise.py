@@ -16,6 +16,8 @@ from scipy import ndimage
 from pnpunmix.cube import HsiCube
 from pnpunmix.denoise import (
     DenoiserSpec,
+    _div,
+    _grad,
     available_denoisers,
     denoise,
     gaussian_filter,
@@ -163,6 +165,36 @@ def test_tv_actually_smooths():
     noisy = clean + 0.1 * rng.standard_normal(clean.shape)
     out = tv_denoise(noisy, 0.1)
     assert np.sum((out - clean) ** 2) < np.sum((noisy - clean) ** 2)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (2, 7), (6, 5)])
+def test_tv_divergence_is_negative_adjoint_of_gradient(shape):
+    # <grad u, p> = -<u, div p> on every shape, degenerate axes included
+    rng = np.random.default_rng(9)
+    u, p1, p2 = rng.standard_normal((3, *shape))
+    gx, gy = _grad(u)
+    assert np.sum(gx * p1 + gy * p2) == pytest.approx(-np.sum(u * _div(p1, p2)), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1)])
+def test_tv_thin_band_is_one_dimensional_tv(shape):
+    # a single row or column is a 1-D signal: a noisy step gets smoother,
+    # the energy drops, and the two orientations agree after a transpose
+    rng = np.random.default_rng(10)
+    clean = np.zeros(40)
+    clean[20:] = 1.0
+    noisy = (clean + 0.1 * rng.standard_normal(40)).reshape(shape)
+    out = tv_denoise(noisy, 0.1)
+    assert out.shape == shape
+    assert np.sum((out.ravel() - clean) ** 2) < np.sum((noisy.ravel() - clean) ** 2)
+    assert _rof_energy(out, noisy, 0.1) <= _rof_energy(noisy, noisy, 0.1)
+    assert_allclose(tv_denoise(noisy.T, 0.1).T, out, rtol=0, atol=1e-15)
+
+
+def test_tv_single_pixel_band_is_unchanged():
+    # no neighbours, no variation to remove
+    img = np.array([[0.37]])
+    assert_array_equal(tv_denoise(img, 0.5), img)
 
 
 # ----------------------------------------------------- spec and dispatch

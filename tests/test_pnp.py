@@ -21,7 +21,6 @@ from pnpunmix.pnp import (
     PnpConfig,
     default_config,
     primal_residual,
-    reconstruct,
     unmix,
 )
 from pnpunmix.qp import fcls
@@ -199,11 +198,6 @@ def test_config_validation():
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, alpha=0.9)
     with pytest.raises(ValueError, match="max_iter"):
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=0)
-
-
-def test_reconstruct_delegates_to_mix():
-    em, truth, clean, noisy = _scene(rows=4, cols=4)
-    assert_array_equal(reconstruct(em, truth).values, mix(em, truth).values)
 
 
 def test_primal_residual_zero_at_consistency():

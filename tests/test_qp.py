@@ -15,14 +15,20 @@ Hand-worked oracles (derived before the solver was written):
   test_acceptance, a small version is exercised here).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pnpunmix.cube import PixelMatrix
+from pnpunmix.cube import PixelMatrix, unfold
 from pnpunmix.errors import ShapeError
 from pnpunmix.model import EndmemberMatrix
+from pnpunmix.pnp import default_config, unmix
 from pnpunmix.qp import QpProblem, QpSolution, build_subproblem, fcls, solve_simplex_qp
+from pnpunmix.synth import SceneSpec, make_scene
 
 
 def _objective(problem, a):
@@ -202,6 +208,71 @@ def test_fcls_pixel_independence_is_bitwise():
     for j in (0, 7, 29):
         alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1))
         assert_array_equal(alone.values[:, 0], batch.values[:, j])
+
+
+def _noisy_mixtures(rng, bands, count, pixels):
+    em = EndmemberMatrix(rng.uniform(0.05, 0.95, size=(bands, count)))
+    truth = rng.dirichlet(np.full(count, 0.5), size=pixels).T
+    return em, em.values @ truth + 0.02 * rng.standard_normal((bands, pixels))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 20),
+    pixels=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_fcls_is_batch_invariant(count, pixels, seed, data):
+    # every pixel gets the same bytes alone, in the full batch and in any
+    # sub-batch, whatever free-set patterns its neighbours are grouped into
+    rng = np.random.default_rng(seed)
+    em, y = _noisy_mixtures(rng, count + int(rng.integers(0, 8)), count, pixels)
+    batch = fcls(em, PixelMatrix(y, 1, pixels)).values
+    sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
+    part = fcls(em, PixelMatrix(y[:, sub], 1, len(sub))).values
+    assert_array_equal(part, batch[:, sub])
+    for j in range(pixels):
+        alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
+        assert_array_equal(alone[:, 0], batch[:, j])
+
+
+def test_fcls_batch_invariant_past_64_endmembers():
+    # 70 free flags per pixel: grouping must not rely on a 64-bit key
+    rng = np.random.default_rng(23)
+    em, y = _noisy_mixtures(rng, 80, 70, 6)
+    batch = fcls(em, PixelMatrix(y, 2, 3)).values
+    assert_array_equal(fcls(em, PixelMatrix(y[:, ::-1], 2, 3)).values, batch[:, ::-1])
+    for j in (0, 5):
+        alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
+        assert_array_equal(alone[:, 0], batch[:, j])
+
+
+# Recorded before the free-set grouping moved from np.unique to a lexsort,
+# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.  The solver's arithmetic is
+# elementwise, so the digests hold wherever its inputs (the scene and M'M)
+# reproduce bit for bit; elsewhere the pin does not apply.
+P16_INPUT_SHA = "8d23f4faed221c33c1cc7ce66ab39fa1ee5f55c486ee876df7bcec7e760e89bd"
+P16_FCLS_SHA = "5258c666970e80b05b0fb1181cedf0d2a7d619d09694493003983a8ae8cc49ba"
+P16_UNMIX_SHA = "33106fa6e801b649ce769aaa039b266beaf004769a2458cc160b800d20603478"
+
+
+def test_grouping_keeps_the_recorded_p16_bytes():
+    # 16 endmembers on 32x32 pixels: up to 824 distinct free-set patterns in
+    # one sweep and over 7000 pattern groups across an fcls solve
+    scene = make_scene(SceneSpec(rows=32, cols=32, endmembers=16, bands=48, snr_db=10.0))
+    observed = unfold(scene.noisy)
+    m = scene.endmembers.values
+    inputs = hashlib.sha256(observed.values.tobytes() + (m.T @ m).tobytes()).hexdigest()
+    if inputs != P16_INPUT_SHA:
+        pytest.skip("scene or M'M bytes differ from the platform the digests come from")
+
+    def digest(est):
+        return hashlib.sha256(est.values.tobytes()).hexdigest()
+
+    assert digest(fcls(scene.endmembers, observed)) == P16_FCLS_SHA
+    cfg = default_config("pro-a", "gaussian", snr_db=10.0, max_iter=3, stop_tol=0.0)
+    assert digest(unmix(observed, scene.endmembers, cfg)[0]) == P16_UNMIX_SHA
 
 
 def test_fcls_underdetermined_warns_but_solves():
