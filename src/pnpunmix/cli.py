@@ -9,9 +9,7 @@ Four subcommands cover the whole workflow:
 
 The unmix command reads its settings from an optional flat config file
 (``key = value`` lines); every key is also a command line flag, and flags
-override the file. Everything is a pure function of argv, files, and one
-environment variable: PNPUNMIX_THREADS sets the denoiser thread count
-(0 means one thread per core) and never changes numeric results.
+override the file. Everything is a pure function of argv and files.
 
 Exit codes: 0 success, 2 argument/config/file-format problems, 3 shape
 mismatches, 4 numerical failures, 5 filesystem errors.
@@ -22,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,12 +42,10 @@ from .io import (
 )
 from .metrics import evaluate
 from .model import mix
-from .pnp import DEFAULT_ALPHA, PnpConfig, default_config, unmix
+from .pnp import PnpConfig, default_config, unmix
 from .synth import SceneSpec, make_scene
 
 __all__ = ["RunConfig", "main"]
-
-THREADS_ENV = "PNPUNMIX_THREADS"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,19 +74,6 @@ def _phase(name: str):
         if not hasattr(exc, "_pnp_stage"):
             exc._pnp_stage = name
         raise
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 0:
-        raise UsageError(f"{THREADS_ENV} must be >= 0, got {workers}")
-    return workers
 
 
 def _parse_bool(text: str) -> bool:
@@ -242,8 +224,7 @@ def _write_trace(path: Path, state) -> None:
             writer.writerow(row)
 
 
-def cmd_synth(args, workers: int) -> int:
-    del workers
+def cmd_synth(args) -> int:
     with _phase("scene generation"):
         spec = SceneSpec(
             rows=args.rows, cols=args.cols, endmembers=args.endmembers,
@@ -270,7 +251,7 @@ def cmd_synth(args, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_unmix(args, workers: int) -> int:
+def cmd_unmix(args) -> int:
     with _phase("configuration"):
         rc = _build_run_config(args)
     with _phase("input parsing"):
@@ -279,7 +260,7 @@ def cmd_unmix(args, workers: int) -> int:
         truth = read_abundances(rc.truth) if rc.truth else None
         clean = unfold(read_cube(rc.clean)) if rc.clean else None
     with _phase("unmixing"):
-        estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth, workers=workers)
+        estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth)
     with _phase("evaluation"):
         report = evaluate(
             endmembers, observed, estimate, truth=truth, clean=clean,
@@ -304,8 +285,7 @@ def cmd_unmix(args, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, workers: int) -> int:
-    del workers
+def cmd_eval(args) -> int:
     with _phase("input parsing"):
         estimate = read_abundances(args.estimate)
         endmembers = read_endmembers(args.endmembers)
@@ -322,7 +302,7 @@ def cmd_eval(args, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_denoise(args, workers: int) -> int:
+def cmd_denoise(args) -> int:
     with _phase("configuration"):
         params = {}
         for item in args.param or ():
@@ -334,7 +314,7 @@ def cmd_denoise(args, workers: int) -> int:
     with _phase("input parsing"):
         cube = read_cube(args.input)
     with _phase("denoising"):
-        filtered = denoise(spec, cube, args.sigma, workers=workers)
+        filtered = denoise(spec, cube, args.sigma)
     with _phase("output writing"):
         write_cube(Path(args.out), filtered)
     print(f"wrote {args.out}")
@@ -407,8 +387,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        workers = _workers_from_env()
-        return args.handler(args, workers)
+        return args.handler(args)
     except ShapeError as exc:
         return _report(exc, EXIT_SHAPE)
     except FileFormatError as exc:

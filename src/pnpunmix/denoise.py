@@ -7,17 +7,15 @@ that call is interchangeable.  Built-ins: ``identity`` (no prior),
 means with bandwidth h = h_scale * sigma), ``tv`` (rudin-osher-fatemi
 model with weight mu = sigma, solved by dual projected gradient).
 
-All built-ins work band by band with replicate borders, so a volume's
-bands may be filtered in parallel; results do not depend on the thread
-count.  External denoisers (a learned prior, say) plug in through
-:func:`register_denoiser` with the signature ``fn(volume, sigma) ->
-volume``.
+All built-ins filter each band alone, in order on one thread, with
+replicate borders.  External denoisers (a learned prior, say) plug in
+through :func:`register_denoiser` with the signature ``fn(volume,
+sigma) -> volume``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -77,9 +75,9 @@ class DenoiserSpec:
             if role in ("radius", "count"):
                 if not isinstance(value, (int, np.integer)) or value < 1:
                     raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-            else:
-                if not np.isfinite(value) or value <= 0:
-                    raise ValueError(f"{key} must be positive, got {value!r}")
+            elif (not isinstance(value, numbers.Real) or not np.isfinite(value)
+                  or value <= 0):
+                raise ValueError(f"{key} must be a positive number, got {value!r}")
 
     def resolved(self) -> dict:
         """Parameters with defaults filled in (built-in kinds only)."""
@@ -212,44 +210,21 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     return best
 
 
-def _apply_bands(band_fn, volume: np.ndarray, workers: int) -> np.ndarray:
-    if workers == 1 or volume.shape[0] == 1:
-        return np.stack([band_fn(b) for b in volume])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.stack(list(pool.map(band_fn, volume)))
+def _band_by_band(band_fn: Callable) -> Callable:
+    """A registry entry calling ``band_fn(band, sigma, **params)`` per band."""
+    return lambda volume, sigma, params: np.stack(
+        [band_fn(band, sigma, **params) for band in volume]
+    )
 
 
-def _run_identity(volume, sigma, params, workers):
-    return volume
-
-
-def _run_gaussian(volume, sigma, params, workers):
-    width = params["sigma_spatial"]
-    return _apply_bands(lambda b: gaussian_filter(b, width), volume, workers)
-
-
-def _run_nlm(volume, sigma, params, workers):
-    def one(b):
-        return nlm_filter(
-            b,
-            sigma,
-            patch_radius=params["patch_radius"],
-            search_radius=params["search_radius"],
-            h_scale=params["h_scale"],
-        )
-
-    return _apply_bands(one, volume, workers)
-
-
-def _run_tv(volume, sigma, params, workers):
-    return _apply_bands(lambda b: tv_denoise(b, sigma, params["iters"]), volume, workers)
-
-
+# kind -> fn(volume array, sigma, resolved params) -> volume array
 _REGISTRY: dict[str, Callable] = {
-    "identity": _run_identity,
-    "gaussian": _run_gaussian,
-    "nlm": _run_nlm,
-    "tv": _run_tv,
+    "identity": lambda volume, sigma, params: volume,
+    "gaussian": _band_by_band(
+        lambda band, sigma, sigma_spatial: gaussian_filter(band, sigma_spatial)
+    ),
+    "nlm": _band_by_band(nlm_filter),
+    "tv": _band_by_band(tv_denoise),
 }
 
 
@@ -265,7 +240,7 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
         raise ValueError("denoiser name must be a non-empty string")
     if name in _REGISTRY:
         raise ValueError(f"denoiser {name!r} is already registered")
-    _REGISTRY[name] = lambda volume, sigma, params, workers: np.asarray(
+    _REGISTRY[name] = lambda volume, sigma, params: np.asarray(
         fn(volume, sigma), dtype=np.float64
     )
 
@@ -274,17 +249,13 @@ def available_denoisers() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def denoise(
-    spec: DenoiserSpec, volume: HsiCube, sigma: float, workers: int = 1
-) -> HsiCube:
+def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
     """Apply the selected denoiser to a cube at noise level sigma.
 
     Args:
         spec: denoiser selection, see :class:`DenoiserSpec`.
         volume: input cube.
         sigma: nonnegative noise level handed to the denoiser.
-        workers: band-level threads; 0 means one per core.  The result
-            is identical for every thread count.
 
     Returns:
         A cube of the same shape; a shape-changing denoiser is a
@@ -297,11 +268,7 @@ def denoise(
         raise ValueError(
             f"unknown denoiser {spec.kind!r}; available: {', '.join(available_denoisers())}"
         )
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    out = fn(volume.values, float(sigma), spec.resolved(), workers)
+    out = fn(volume.values, float(sigma), spec.resolved())
     if out.shape != volume.values.shape:
         raise ComputeError(
             f"denoiser {spec.kind!r} changed the volume shape: "

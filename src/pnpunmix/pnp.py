@@ -27,13 +27,14 @@ per-iteration telemetry.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import HsiCube, PixelMatrix, fold, unfold
+from .cube import PixelMatrix, fold, unfold
 from .denoise import DenoiserSpec, denoise
 from .errors import ComputeError, ShapeError
 from .metrics import rmse as _rmse
@@ -62,7 +63,7 @@ PRESETS: dict[tuple[str, str, int], tuple[float, float]] = {
     ("pro-a", "nlm", 30): (5.0, 1e-4),
 }
 
-DEFAULT_ALPHA = {"pro-h": 1.1, "pro-a": 1.1}
+DEFAULT_ALPHA = 1.1
 FEASIBILITY_TOL = 1e-8
 
 
@@ -154,7 +155,6 @@ def unmix(
     cfg: PnpConfig,
     *,
     truth: AbundanceMatrix | None = None,
-    workers: int = 1,
 ) -> tuple[AbundanceMatrix, AdmmState]:
     """Estimate per-pixel abundances with a denoiser in the loop.
 
@@ -164,8 +164,6 @@ def unmix(
         cfg: loop configuration.
         truth: optional ground truth; when given, the returned state
             carries an abundance-rmse trace for convergence plots.
-        workers: threads for the band-wise denoiser; 0 = one per core.
-            Results are independent of this value.
 
     Returns:
         (final abundances, state with telemetry).
@@ -234,7 +232,7 @@ def unmix(
         tic = time.perf_counter()
         try:
             volume = fold(PixelMatrix(z_tilde, rows, cols))
-            z = unfold(denoise(cfg.denoiser, volume, sigma_k, workers=workers)).values
+            z = unfold(denoise(cfg.denoiser, volume, sigma_k)).values
         except ValueError as exc:
             raise ComputeError(f"z-step failed: {exc}") from exc
         z_seconds.append(time.perf_counter() - tic)
@@ -293,17 +291,20 @@ def default_config(mode: str, denoiser_kind: str, snr_db: float = 20.0, **overri
     """Build a PnpConfig from the shipped presets.
 
     Looks up (rho0, lambda) for the mode/denoiser/SNR working point,
-    falling back to (1.0, 1e-3) when no preset exists; alpha defaults
-    per mode.  Any field can be overridden by keyword.
+    falling back to (1.0, 1e-3) when no preset exists, as for an
+    infinite SNR; alpha defaults to DEFAULT_ALPHA.  Any field can be
+    overridden by keyword.  A NaN snr_db is a ValueError.
     """
-    key = (mode, denoiser_kind, int(round(snr_db)))
-    rho0, lam = PRESETS.get(key, (1.0, 1e-3))
+    if math.isnan(snr_db):
+        raise ValueError(f"snr_db must be a number, got {snr_db}")
+    level = int(round(snr_db)) if math.isfinite(snr_db) else None
+    rho0, lam = PRESETS.get((mode, denoiser_kind, level), (1.0, 1e-3))
     fields: dict = {
         "mode": mode,
         "denoiser": DenoiserSpec(denoiser_kind),
         "rho0": rho0,
         "lam": lam,
-        "alpha": DEFAULT_ALPHA.get(mode, 1.0),
+        "alpha": DEFAULT_ALPHA,
     }
     fields.update(overrides)
     return PnpConfig(**fields)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .cube import HsiCube, fold, unfold
+from .cube import HsiCube, fold
 from .errors import ComputeError
 from .model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
 

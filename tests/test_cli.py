@@ -226,6 +226,20 @@ class TestUnmixCommand:
                          "--denoiser-param", "bogus=1")
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+        code = run_unmix(scene_dir, out, "--denoiser", "nlm",
+                         "--denoiser-param", "h_scale=abc")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[configuration]" in err and "h_scale" in err
+        assert "Traceback" not in err
+
+    def test_infinite_snr_runs_nan_snr_is_usage_error(self, scene_dir, tmp_path, capsys):
+        assert run_unmix(scene_dir, tmp_path / "inf", "--denoiser", "identity",
+                         "--max-iter", "2", "--snr-db", "inf") == 0
+        assert run_unmix(scene_dir, tmp_path / "nan", "--denoiser", "identity",
+                         "--max-iter", "2", "--snr-db", "nan") == 2
+        err = capsys.readouterr().err
+        assert "[configuration]" in err and "snr_db" in err
 
     def test_same_inputs_give_byte_identical_outputs(self, scene_dir, tmp_path):
         first = tmp_path / "one"
@@ -330,6 +344,14 @@ class TestDenoiseCommand:
         assert code == 2
         assert "wavelet" in capsys.readouterr().err
 
+    def test_non_numeric_param_is_usage_error(self, scene_dir, tmp_path, capsys):
+        code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
+                     "--out", str(tmp_path / "x.raw"), "--kind", "nlm",
+                     "--sigma", "0.1", "--param", "h_scale=abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[configuration]" in err and "h_scale" in err
+
 
 class TestThinImages:
     @pytest.mark.parametrize("rows, cols", [(1, 12), (12, 1)])
@@ -384,23 +406,6 @@ class TestExitCodes:
                          "--max-iter", "2")
         assert code == 5
         assert "output writing" in capsys.readouterr().err
-
-    def test_bad_thread_env_is_usage_error(self, scene_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PNPUNMIX_THREADS", "many")
-        assert run_unmix(scene_dir, tmp_path / "o", "--denoiser", "identity") == 2
-        assert "PNPUNMIX_THREADS" in capsys.readouterr().err
-
-    def test_thread_env_zero_means_all_cores(self, scene_dir, tmp_path, monkeypatch):
-        reference = tmp_path / "ref"
-        assert run_unmix(scene_dir, reference, "--denoiser", "nlm",
-                         "--max-iter", "2") == 0
-        monkeypatch.setenv("PNPUNMIX_THREADS", "0")
-        threaded = tmp_path / "thr"
-        assert run_unmix(scene_dir, threaded, "--denoiser", "nlm",
-                         "--max-iter", "2") == 0
-        assert (reference / "abundances.raw").read_bytes() == (
-            threaded / "abundances.raw"
-        ).read_bytes()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -212,6 +212,12 @@ def test_denoiser_spec_validation():
         DenoiserSpec("gaussian", {"bandwidth": 2.0})
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1.0], float("nan"), float("inf"), 0])
+def test_denoiser_spec_rejects_non_positive_or_non_real_scale(value):
+    with pytest.raises(ValueError, match="h_scale"):
+        DenoiserSpec("nlm", {"h_scale": value})
+
+
 def test_denoise_identity_exact():
     rng = np.random.default_rng(9)
     cube = HsiCube(rng.uniform(size=(5, 8, 9)))
@@ -255,15 +261,6 @@ def test_denoise_band_permutation_equivariance():
     perm = np.array([3, 0, 5, 1, 4, 2])
     out_p = denoise(spec, HsiCube(cube.values[perm]), 0.2)
     assert_array_equal(out_p.values, out.values[perm])
-
-
-def test_denoise_thread_count_invariant():
-    rng = np.random.default_rng(12)
-    cube = HsiCube(rng.uniform(size=(8, 24, 24)))
-    for kind in ("gaussian", "nlm", "tv"):
-        one = denoise(DenoiserSpec(kind), cube, 0.1, workers=1)
-        many = denoise(DenoiserSpec(kind), cube, 0.1, workers=4)
-        assert_array_equal(one.values, many.values), kind
 
 
 def test_register_custom_denoiser():

@@ -135,22 +135,6 @@ def test_same_seed_bitwise_reproducible():
     assert list(s1.primal_residuals) == list(s2.primal_residuals)
 
 
-def test_thread_count_does_not_change_result():
-    em, truth, clean, noisy = _scene()
-    cfg = PnpConfig(
-        mode="pro-h",
-        denoiser=DenoiserSpec("nlm", {"search_radius": 2}),
-        rho0=0.5,
-        lam=1e-3,
-        alpha=1.0,
-        max_iter=2,
-        seed=5,
-    )
-    a1, _ = unmix(noisy, em, cfg, workers=1)
-    a4, _ = unmix(noisy, em, cfg, workers=4)
-    assert_array_equal(a1.values, a4.values)
-
-
 def test_abundances_feasible_every_iteration():
     seen = []
 
@@ -247,3 +231,10 @@ def test_default_config_resolution():
     cfg = default_config("pro-a", "tv", snr_db=20.0, lam=7e-4, seed=9)
     assert cfg.denoiser.kind == "tv"
     assert cfg.lam == 7e-4 and cfg.seed == 9
+
+
+def test_default_config_infinite_snr_falls_back_nan_rejected():
+    cfg = default_config("pro-h", "nlm", snr_db=float("inf"))
+    assert (cfg.rho0, cfg.lam) == (1.0, 1e-3)
+    with pytest.raises(ValueError, match="snr_db"):
+        default_config("pro-h", "nlm", snr_db=float("nan"))
