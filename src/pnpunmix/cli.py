@@ -9,10 +9,11 @@ Four subcommands cover the whole workflow:
 
 The unmix command reads its settings from an optional flat config file
 (``key = value`` lines); every key is also a command line flag, and flags
-override the file. Everything is a pure function of argv and files.
+override the file; loop settings given neither way take the defaults of
+``default_config``. Everything is a pure function of argv and files.
 
-Exit codes: 0 success, 2 argument/config/file-format problems, 3 shape
-mismatches, 4 numerical failures, 5 filesystem errors.
+Exit codes: 0 success, 1 unexpected error inside a stage, 2 usage/config/
+file format, 3 shape mismatch, 4 numerical failure, 5 filesystem error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -48,6 +49,7 @@ from .synth import SceneSpec, make_scene
 __all__ = ["RunConfig", "main"]
 
 EXIT_OK = 0
+EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_SHAPE = 3
 EXIT_COMPUTE = 4
@@ -117,22 +119,22 @@ _UNMIX_OPTS = (
     _Opt("out", str, required=True, help="output directory"),
     _Opt("mode", str, required=True, help="pro-h or pro-a"),
     _Opt("denoiser", str, default="nlm", help="prior; one of the registered kinds"),
-    _Opt("snr_db", float, default=20.0,
-         help="assumed noise level, picks preset rho0/lam when not given"),
+    _Opt("snr_db", float, help="assumed noise level in dB; picks the preset rho0/lam"),
     _Opt("rho0", float, help="initial penalty weight"),
     _Opt("lam", float, help="prior strength lambda"),
     _Opt("alpha", float, help="penalty growth factor per iteration"),
-    _Opt("max_iter", int, default=20, help="iteration budget"),
-    _Opt("stop_tol", float, default=1e-4, help="relative primal residual stop"),
-    _Opt("qp_tol", float, default=1e-9, help="inner solver KKT tolerance"),
-    _Opt("qp_max_iter", int, default=200, help="inner solver sweep budget"),
-    _Opt("seed", int, default=0, help="seed for the abundance initialization"),
+    _Opt("max_iter", int, help="iteration budget"),
+    _Opt("stop_tol", float, help="relative primal residual stop"),
+    _Opt("seed", int, help="seed for the abundance initialization"),
     _Opt("emit_maps", _parse_bool, default=True, help="write per-endmember maps"),
     _Opt("emit_trace", _parse_bool, default=True, help="write per-iteration trace"),
     _Opt("emit_metrics", _parse_bool, default=True, help="write metrics JSON"),
 )
 
 _DENOISER_KEY_PREFIX = "denoiser."
+
+# settings handed to default_config when given; the rest take its defaults
+_LOOP_KEYS = {f.name for f in fields(PnpConfig)} - {"mode", "denoiser"} | {"snr_db"}
 
 
 @dataclass(frozen=True)
@@ -184,16 +186,10 @@ def _merge_settings(args) -> tuple[dict, dict]:
 
 def _build_run_config(args) -> RunConfig:
     settings, denoiser_params = _merge_settings(args)
-    overrides: dict = {}
-    for key in ("rho0", "lam", "alpha", "max_iter", "stop_tol",
-                "qp_tol", "qp_max_iter", "seed"):
-        if settings[key] is not None:
-            overrides[key] = settings[key]
+    overrides = {key: settings[key] for key in _LOOP_KEYS if settings[key] is not None}
     if denoiser_params:
         overrides["denoiser"] = DenoiserSpec(settings["denoiser"], denoiser_params)
-    pnp = default_config(
-        settings["mode"], settings["denoiser"], settings["snr_db"], **overrides
-    )
+    pnp = default_config(settings["mode"], settings["denoiser"], **overrides)
     return RunConfig(
         cube=Path(settings["cube"]),
         endmembers=Path(settings["endmembers"]),
@@ -226,12 +222,7 @@ def _write_trace(path: Path, state) -> None:
 
 def cmd_synth(args) -> int:
     with _phase("scene generation"):
-        spec = SceneSpec(
-            rows=args.rows, cols=args.cols, endmembers=args.endmembers,
-            bands=args.bands, field_smoothness=args.field_smoothness,
-            pure_pixel_fraction=args.pure_pixel_fraction,
-            snr_db=args.snr_db, seed=args.seed,
-        )
+        spec = SceneSpec(**{f.name: getattr(args, f.name) for f in fields(SceneSpec)})
         scene = make_scene(spec)
     with _phase("output writing"):
         out = Path(args.out)
@@ -240,13 +231,7 @@ def cmd_synth(args) -> int:
         write_cube(out / "clean.raw", scene.clean)
         write_abundances(out / "truth.raw", scene.truth)
         write_endmembers(out / "endmembers.csv", scene.endmembers)
-        write_config(out / "scene.cfg", {
-            "rows": spec.rows, "cols": spec.cols,
-            "endmembers": spec.endmembers, "bands": spec.bands,
-            "field_smoothness": spec.field_smoothness,
-            "pure_pixel_fraction": spec.pure_pixel_fraction,
-            "snr_db": spec.snr_db, "seed": spec.seed,
-        })
+        write_config(out / "scene.cfg", asdict(spec))
     print(f"wrote {', '.join(SYNTH_FILES)} to {out}")
     return EXIT_OK
 
@@ -331,14 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic scene")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--rows", type=int, default=64)
-    synth.add_argument("--cols", type=int, default=64)
-    synth.add_argument("--endmembers", type=int, default=4)
-    synth.add_argument("--bands", type=int, default=64)
-    synth.add_argument("--field-smoothness", type=float, default=6.0)
-    synth.add_argument("--pure-pixel-fraction", type=float, default=0.02)
-    synth.add_argument("--snr-db", type=float, default=20.0)
-    synth.add_argument("--seed", type=int, default=0)
+    for f in fields(SceneSpec):
+        synth.add_argument("--" + f.name.replace("_", "-"),
+                           type=type(f.default), default=f.default)
     synth.set_defaults(handler=cmd_synth)
 
     unmix_p = sub.add_parser("unmix", help="estimate abundances for a cube")
@@ -398,10 +378,13 @@ def main(argv=None) -> int:
         return _report(exc, EXIT_USAGE)
     except OSError as exc:
         return _report(exc, EXIT_IO)
+    except Exception as exc:
+        # a bug or a plug-in denoiser's own error: one line, no traceback
+        return _report(exc, EXIT_UNEXPECTED, f"{type(exc).__name__}: ")
 
 
-def _report(exc: Exception, code: int) -> int:
+def _report(exc: Exception, code: int, kind: str = "") -> int:
     stage = getattr(exc, "_pnp_stage", None)
     where = f" [{stage}]" if stage else ""
-    print(f"pnpunmix: error{where}: {exc}", file=sys.stderr)
+    print(f"pnpunmix: error{where}: {kind}{exc}", file=sys.stderr)
     return code

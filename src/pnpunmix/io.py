@@ -22,7 +22,7 @@ import numpy as np
 
 from .cube import HsiCube, PixelMatrix, fold, unfold
 from .errors import FileFormatError
-from .model import AbundanceMatrix, EndmemberMatrix
+from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
 
 __all__ = [
     "write_cube",
@@ -184,17 +184,17 @@ def write_graymap(path, plane: np.ndarray) -> None:
     """Render a [0, 1] image plane as a binary 8-bit portable graymap.
 
     Quantization is pinned: byte = floor(255 * clamp(v, 0, 1) + 0.5), so
-    ties round up (0.5 maps to 128). Out-of-range input is clamped with a
-    warning rather than rejected.
+    ties round up (0.5 maps to 128). Input is clamped, not rejected, with a
+    warning only when it lies more than ANC_CLAMP (roundoff) outside [0, 1].
     """
     arr = np.asarray(plane, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"graymap plane must be 2-d, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("graymap plane must be finite")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if arr.min() < -ANC_CLAMP or arr.max() > 1.0 + ANC_CLAMP:
         warnings.warn("graymap values outside [0, 1] clamped", stacklevel=2)
-        arr = np.clip(arr, 0.0, 1.0)
+    arr = np.clip(arr, 0.0, 1.0)
     # np.round would round half to even; the format pins half-up
     bytes_ = np.floor(255.0 * arr + 0.5).astype(np.uint8)
     rows, cols = bytes_.shape

@@ -27,7 +27,10 @@ def rmse(truth: AbundanceMatrix, estimate: AbundanceMatrix) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
-def _psnr_parts(estimate: PixelMatrix, reference: PixelMatrix) -> tuple[float, float]:
+def _psnr_parts(
+    estimate: PixelMatrix, reference: PixelMatrix
+) -> tuple[float, float, float]:
+    """(peak, mse, psnr in dB) from one pass over both matrices."""
     if estimate.values.shape != reference.values.shape:
         raise ShapeError(
             f"pixel matrix shapes differ: {estimate.values.shape} vs "
@@ -37,7 +40,11 @@ def _psnr_parts(estimate: PixelMatrix, reference: PixelMatrix) -> tuple[float, f
     # squared error summed over everything, divided by the pixel count only
     # (per-pixel spectral error is summed, not averaged, over channels)
     mse = float(np.sum((estimate.values - reference.values) ** 2) / estimate.pixels)
-    return peak, mse
+    if mse == 0.0:
+        return peak, mse, math.inf
+    if peak <= 0.0:
+        return peak, mse, -math.inf
+    return peak, mse, 10.0 * math.log10(peak * peak / mse)
 
 
 def psnr(estimate: PixelMatrix, reference: PixelMatrix) -> float:
@@ -47,12 +54,7 @@ def psnr(estimate: PixelMatrix, reference: PixelMatrix) -> float:
     returns ``inf``; report the peak alongside when comparing runs, since
     it is data-dependent.
     """
-    peak, mse = _psnr_parts(estimate, reference)
-    if mse == 0.0:
-        return math.inf
-    if peak <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return _psnr_parts(estimate, reference)[2]
 
 
 def reconstruction_error(observed: PixelMatrix, reconstruction: PixelMatrix) -> float:
@@ -117,8 +119,7 @@ def evaluate(
     r = rmse(truth, estimate) if truth is not None else None
     p = peak = pmse = None
     if clean is not None:
-        peak, pmse = _psnr_parts(reconstruction, clean)
-        p = psnr(reconstruction, clean)
+        peak, pmse, p = _psnr_parts(reconstruction, clean)
     return MetricsReport(
         reconstruction_error=re,
         rmse=r,

@@ -85,8 +85,7 @@ class PnpConfig:
             early once ||HA - Z||_F / max(||Z||_F, 1e-12) falls below it.
             Zero disables the early stop and runs all max_iter rounds.
             The last iterate is returned, not a best-so-far.
-        qp_tol, qp_max_iter: inner active-set solver knobs.
-        seed: seeds the random simplex initialization of A.
+        seed: non-negative integer seeding the random simplex start of A.
     """
 
     mode: str
@@ -96,8 +95,6 @@ class PnpConfig:
     alpha: float = 1.0
     max_iter: int = 20
     stop_tol: float = 1e-4
-    qp_tol: float = 1e-9
-    qp_max_iter: int = 200
     seed: int = 0
 
     def __post_init__(self):
@@ -115,10 +112,8 @@ class PnpConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
-            raise ValueError(f"qp_tol must be > 0, got {self.qp_tol}")
-        if self.qp_max_iter < 1:
-            raise ValueError(f"qp_max_iter must be >= 1, got {self.qp_max_iter}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +207,7 @@ def unmix(
         else:
             q = mtm + rho_k * np.eye(count)
             fs = -(mty + rho_k * x_tilde)
-        a, _, conv, _, _ = _solve_batch(q, fs, a, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+        a, _, conv, _, _ = _solve_batch(q, fs, a)
         a_seconds.append(time.perf_counter() - tic)
         qp_flags.append(int((~conv).sum()))
         if not np.isfinite(a).all():

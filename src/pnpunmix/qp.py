@@ -36,6 +36,10 @@ __all__ = ["QpProblem", "QpSolution", "build_subproblem", "solve_simplex_qp", "f
 MODES = ("pro-h", "pro-a")
 SYM_TOL = 1e-10
 EIG_TOL = -1e-10
+# KKT residual target and active-set sweep budget of every solve; fixed
+# settings of the exact A-step, read at call time
+QP_TOL = 1e-9
+QP_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +209,13 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _pg_fallback(
-    q: np.ndarray, f: np.ndarray, a: np.ndarray, tol: float, budget: int
+    q: np.ndarray, f: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, int, bool]:
     """Monotone projected gradient for pixels whose KKT systems stay singular."""
     lip = float(np.linalg.eigvalsh(q)[-1])
     step = 1.0 / max(lip, 1e-12)
     obj = 0.5 * a @ q @ a + f @ a
-    for it in range(1, budget + 1):
+    for it in range(1, QP_MAX_SWEEPS + 1):
         g = q @ a + f
         t = step
         cand = a
@@ -223,26 +227,19 @@ def _pg_fallback(
             t *= 0.5
         moved = not np.array_equal(cand, a)
         a, obj = cand, cobj
-        if float(_kkt_residuals(q, f[:, None], a[:, None])[0]) <= tol:
+        if float(_kkt_residuals(q, f[:, None], a[:, None])[0]) <= QP_TOL:
             return a, it, True
         if not moved:
             return a, it, False
-    return a, budget, False
+    return a, QP_MAX_SWEEPS, False
 
 
-def _solve_batch(
-    q: np.ndarray,
-    fs: np.ndarray,
-    a0: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-    trace: bool = False,
-):
+def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = False):
     """Active-set solve of min a'Qa/2 + f'a on the simplex, one f per column.
 
     Returns (a, iterations, converged, shifted, trace_list).
     All intermediate iterates are feasible; a is returned even for columns
-    that hit the sweep budget, flagged in `converged`.
+    that hit the QP_MAX_SWEEPS budget, flagged in `converged`.
     """
     p, n = fs.shape
     a = np.array(a0, dtype=np.float64)
@@ -254,7 +251,7 @@ def _solve_batch(
     delta = 1e-10 * float(np.trace(q)) / p
     trace_vals = [float(_objective_cols(q, fs, a)[0])] if trace else None
 
-    for _ in range(max_iter):
+    for _ in range(QP_MAX_SWEEPS):
         todo = np.flatnonzero(~done)
         if todo.size == 0:
             break
@@ -283,7 +280,7 @@ def _solve_batch(
                     sol = _lu_solve_cols(kshift, rhs)
                 except np.linalg.LinAlgError:
                     for j in px:
-                        aj, itj, okj = _pg_fallback(q, fs[:, j], a[:, j], tol, max_iter)
+                        aj, itj, okj = _pg_fallback(q, fs[:, j], a[:, j])
                         a[:, j] = aj
                         iters[j] += itj
                         done[j] = True
@@ -305,7 +302,7 @@ def _solve_batch(
                 g = np.einsum("ij,jn->in", q, anew) + fs[:, fpx]
                 slack = np.where(fm[:, None], np.inf, g + nu[feas])
                 worst = slack.min(axis=0)
-                ok = worst >= -tol
+                ok = worst >= -QP_TOL
                 done[fpx[ok]] = True
                 converged[fpx[ok]] = True
                 rel = fpx[~ok]
@@ -333,18 +330,15 @@ def _solve_batch(
 
 
 def solve_simplex_qp(
-    problem: QpProblem,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-    warm_start: np.ndarray | None = None,
+    problem: QpProblem, warm_start: np.ndarray | None = None
 ) -> QpSolution:
-    """Solve one pixel's simplex QP.
+    """Solve one pixel's simplex QP to the KKT tolerance QP_TOL.
+
+    Hitting the QP_MAX_SWEEPS budget returns the last (always feasible)
+    iterate with converged=False.
 
     Args:
         problem: validated QP data.
-        tol: KKT residual target.
-        max_iter: active-set sweep budget; hitting it returns the last
-            (always feasible) iterate with converged=False.
         warm_start: optional starting point; must be near the simplex
             (clamped and renormalized), defaults to the barycenter.
     """
@@ -362,7 +356,7 @@ def solve_simplex_qp(
         w = np.maximum(w, 0.0)
         a0 = (w / w.sum())[:, None]
     a, iters, conv, shifted, trace = _solve_batch(
-        problem.q, problem.f[:, None], a0, tol=tol, max_iter=max_iter, trace=True
+        problem.q, problem.f[:, None], a0, trace=True
     )
     return QpSolution(
         a=a[:, 0],
@@ -374,17 +368,12 @@ def solve_simplex_qp(
     )
 
 
-def fcls(
-    endmembers: EndmemberMatrix,
-    observed: PixelMatrix,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> AbundanceMatrix:
+def fcls(endmembers: EndmemberMatrix, observed: PixelMatrix) -> AbundanceMatrix:
     """Fully constrained least squares: best simplex abundances per pixel.
 
     Solves min ||y - M a||^2 independently for every pixel under the
     non-negativity and sum-to-one constraints.  Warns if some pixels do
-    not reach the KKT tolerance within the sweep budget (their last
+    not reach QP_TOL within the QP_MAX_SWEEPS budget (their last
     feasible iterate is still returned) and when the problem is
     underdetermined.
     """
@@ -401,7 +390,7 @@ def fcls(
     problem = QpProblem(m.T @ m, np.zeros(endmembers.count))
     fs = -np.einsum("li,ln->in", m, observed.values)
     a0 = np.full(fs.shape, 1.0 / endmembers.count)
-    a, _, conv, _, _ = _solve_batch(problem.q, fs, a0, tol=tol, max_iter=max_iter)
+    a, _, conv, _, _ = _solve_batch(problem.q, fs, a0)
     bad = int((~conv).sum())
     if bad:
         warnings.warn(

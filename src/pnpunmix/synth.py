@@ -86,6 +86,8 @@ class SceneSpec:
             raise ValueError(f"pure_pixel_fraction must be in [0, 1], got {frac}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def pixels(self) -> int:

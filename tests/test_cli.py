@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +23,9 @@ from pnpunmix.io import (
 )
 from pnpunmix.metrics import evaluate
 from pnpunmix.model import AbundanceMatrix, EndmemberMatrix
+from pnpunmix.pnp import default_config, unmix
 from pnpunmix.qp import fcls
+from pnpunmix.synth import SceneSpec
 
 SCENE_ARGS = [
     "synth", "--rows", "12", "--cols", "12", "--endmembers", "3",
@@ -89,6 +92,18 @@ class TestSynthCommand:
         argv = ["synth", "--rows", "4", "--out", str(tmp_path / "x")]
         assert main(argv) == 2
         assert "scene generation" in capsys.readouterr().err
+
+    def test_no_flags_write_the_scene_spec_defaults(self, tmp_path):
+        out = tmp_path / "default"
+        assert main(["synth", "--out", str(out)]) == 0
+        expected = {key: str(value) for key, value in asdict(SceneSpec()).items()}
+        assert read_config(out / "scene.cfg") == expected
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        argv = SCENE_ARGS[:-2] + ["--seed", "-1", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
 
 
 class TestUnmixCommand:
@@ -240,6 +255,33 @@ class TestUnmixCommand:
                          "--max-iter", "2", "--snr-db", "nan") == 2
         err = capsys.readouterr().err
         assert "[configuration]" in err and "snr_db" in err
+
+    def test_no_loop_flags_match_library_defaults(self, scene_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run_unmix(scene_dir, out) == 0
+        estimate, _ = unmix(
+            unfold(read_cube(scene_dir / "noisy.raw")),
+            read_endmembers(scene_dir / "endmembers.csv"),
+            default_config("pro-a", "nlm"),
+        )
+        write_abundances(tmp_path / "library.raw", estimate)
+        assert ((out / "abundances.raw").read_bytes()
+                == (tmp_path / "library.raw").read_bytes())
+
+    def test_negative_seed_is_configuration_error(self, scene_dir, tmp_path, capsys):
+        assert run_unmix(scene_dir, tmp_path / "o", "--denoiser", "identity",
+                         "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert "[configuration]" in err and "seed" in err
+        assert "Traceback" not in err
+
+    def test_qp_settings_are_not_options(self, scene_dir, tmp_path, capsys):
+        assert run_unmix(scene_dir, tmp_path / "flag", "--qp-tol", "1e-6") == 2
+        assert "--qp-tol" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qp_tol = 1e-6\n")
+        assert run_unmix(scene_dir, tmp_path / "file", "--config", str(cfg)) == 2
+        assert "qp_tol" in capsys.readouterr().err
 
     def test_same_inputs_give_byte_identical_outputs(self, scene_dir, tmp_path):
         first = tmp_path / "one"
@@ -398,6 +440,21 @@ class TestExitCodes:
         code = run_unmix(scene_dir, tmp_path / "o", "--denoiser", "cli-poison")
         assert code == 4
         assert "unmixing" in capsys.readouterr().err
+
+    def test_raising_plugin_is_unexpected_error_with_stage(
+        self, scene_dir, tmp_path, capsys
+    ):
+        def broken(volume, sigma):
+            raise TypeError("plug-in bug")
+
+        try:
+            register_denoiser("cli-raises", broken)
+        except ValueError:
+            pass
+        code = run_unmix(scene_dir, tmp_path / "o", "--denoiser", "cli-raises")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "pnpunmix: error [unmixing]: TypeError: plug-in bug\n"
 
     def test_unwritable_output_is_io_error(self, scene_dir, tmp_path, capsys):
         blocker = tmp_path / "blocked"

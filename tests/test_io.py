@@ -1,5 +1,7 @@
 """File formats: round-trips, pinned quantization, malformed-input errors."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -198,6 +200,14 @@ class TestGraymap:
         with pytest.warns(UserWarning, match="clamped"):
             write_graymap(path, np.array([[-0.5, 1.5]]))
         npt.assert_array_equal(read_graymap(path), np.array([[0, 255]], dtype=np.uint8))
+
+    def test_roundoff_above_one_clamped_silently(self, tmp_path):
+        # the QP can return an abundance one ulp above 1
+        path = tmp_path / "map.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_graymap(path, np.array([[1.0 + 2.2e-16, -1e-13]]))
+        npt.assert_array_equal(read_graymap(path), np.array([[255, 0]], dtype=np.uint8))
 
     def test_round_trip_random_plane(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pnpunmix import qp
 from pnpunmix.cube import PixelMatrix
 from pnpunmix.denoise import DenoiserSpec, register_denoiser
 from pnpunmix.errors import ComputeError, ShapeError
@@ -182,6 +183,24 @@ def test_config_validation():
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, alpha=0.9)
     with pytest.raises(ValueError, match="max_iter"):
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=0)
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, seed=seed)
+    assert PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, seed=np.int64(7)).seed == 7
+
+
+def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
+    # one active-set sweep leaves the pixels with a pinned variable open
+    monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)
+    em, truth, clean, noisy = _scene()
+    with pytest.warns(UserWarning) as record:
+        est, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=5))
+    missed = sum(state.qp_unconverged)
+    assert missed > 0
+    assert len(record) == 1
+    assert f"{missed} pixel QP solves" in str(record[0].message)
+    assert est.values.min() >= 0.0
+    assert_allclose(est.values.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 def test_primal_residual_zero_at_consistency():

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pnpunmix import qp
 from pnpunmix.cube import PixelMatrix, unfold
 from pnpunmix.errors import ShapeError
 from pnpunmix.model import EndmemberMatrix
@@ -284,6 +285,15 @@ def test_fcls_underdetermined_warns_but_solves():
         est = fcls(em, y)
     assert abs(est.values[:, 0].sum() - 1.0) <= 1e-9
     assert est.values.min() >= 0.0
+
+
+def test_fcls_warns_when_the_sweep_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)
+    scene = make_scene(SceneSpec(rows=8, cols=8, endmembers=3, bands=16, snr_db=10.0))
+    with pytest.warns(UserWarning, match="did not reach the QP tolerance"):
+        est = fcls(scene.endmembers, unfold(scene.noisy))
+    assert est.values.min() >= 0.0
+    assert_allclose(est.values.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 def test_solution_type_fields():

@@ -44,6 +44,8 @@ class TestSceneSpec:
             (dict(field_smoothness=-1.0), "field_smoothness"),
             (dict(pure_pixel_fraction=1.5), "pure_pixel_fraction"),
             (dict(snr_db=float("nan")), "snr_db"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=2.5), "seed"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, fragment):
