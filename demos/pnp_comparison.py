@@ -50,7 +50,7 @@ for mode in ("pro-h", "pro-a"):
           f"psnr {report.psnr:6.3f} dB  "
           f"({gain:.0f}% rmse below baseline, {state.iteration} iterations)")
     # the error trace shows most of the gain lands in the first few rounds
-    trail = ", ".join(f"{r:.4f}" for r in state.rmse_trace[:5])
+    trail = ", ".join(f"{r.rmse:.4f}" for r in state.iterations[:5])
     print(f"{'':14s} rmse by iteration: {trail}, ...")
     results[mode] = estimate
 

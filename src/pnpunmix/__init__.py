@@ -42,12 +42,13 @@ from .metrics import MetricsReport, evaluate, psnr, reconstruction_error, rmse
 from .model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
 from .pnp import (
     AdmmState,
+    IterationRecord,
     PnpConfig,
     default_config,
     primal_residual,
     unmix,
 )
-from .qp import QpProblem, QpSolution, build_subproblem, fcls, solve_simplex_qp
+from .qp import QpProblem, QpSolution, fcls, solve_simplex_qp
 from .synth import Scene, SceneSpec, generate_abundances, generate_endmembers, make_scene
 
 __version__ = "0.1.0"
@@ -69,7 +70,6 @@ __all__ = [
     "evaluate",
     "QpProblem",
     "QpSolution",
-    "build_subproblem",
     "solve_simplex_qp",
     "fcls",
     "DenoiserSpec",
@@ -77,6 +77,7 @@ __all__ = [
     "register_denoiser",
     "available_denoisers",
     "PnpConfig",
+    "IterationRecord",
     "AdmmState",
     "unmix",
     "primal_residual",

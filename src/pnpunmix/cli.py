@@ -206,17 +206,17 @@ def _build_run_config(args) -> RunConfig:
 def _write_trace(path: Path, state) -> None:
     # wall-clock timings stay out of the file so same-seed runs are
     # byte-identical; they remain on the returned state for library users
+    with_rmse = state.iterations[0].rmse is not None
     header = ["iteration", "rho", "sigma", "primal_residual"]
-    if state.rmse_trace is not None:
+    if with_rmse:
         header.append("rmse")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(len(state.rho_trace)):
-            row = [i + 1, repr(state.rho_trace[i]), repr(state.sigma_trace[i]),
-                   repr(state.primal_residuals[i])]
-            if state.rmse_trace is not None:
-                row.append(repr(state.rmse_trace[i]))
+        for i, rec in enumerate(state.iterations, 1):
+            row = [i, repr(rec.rho), repr(rec.sigma), repr(rec.primal_residual)]
+            if with_rmse:
+                row.append(repr(rec.rmse))
             writer.writerow(row)
 
 
@@ -247,10 +247,11 @@ def cmd_unmix(args) -> int:
     with _phase("unmixing"):
         estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth)
     with _phase("evaluation"):
-        report = evaluate(
-            endmembers, observed, estimate, truth=truth, clean=clean,
-            per_iteration_rmse=state.rmse_trace,
-        )
+        record = evaluate(
+            endmembers, observed, estimate, truth=truth, clean=clean
+        ).to_dict()
+        if truth is not None:
+            record["per_iteration_rmse"] = [r.rmse for r in state.iterations]
     with _phase("output writing"):
         rc.out_dir.mkdir(parents=True, exist_ok=True)
         write_abundances(rc.out_dir / ABUNDANCE_FILE, estimate)
@@ -258,7 +259,7 @@ def cmd_unmix(args) -> int:
                    fold(mix(endmembers, estimate)))
         if rc.emit_metrics:
             (rc.out_dir / METRICS_FILE).write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+                json.dumps(record, sort_keys=True, indent=2) + "\n"
             )
         if rc.emit_trace:
             _write_trace(rc.out_dir / TRACE_FILE, state)
@@ -266,7 +267,7 @@ def cmd_unmix(args) -> int:
             planes = fold(estimate).values
             for i in range(planes.shape[0]):
                 write_graymap(rc.out_dir / f"map_{i}.pgm", planes[i])
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 

@@ -51,10 +51,11 @@ _PARAM_SPECS: dict[str, dict[str, tuple]] = {
 class DenoiserSpec:
     """Name + parameters selecting a denoiser.
 
-    For the built-in kinds the parameters are validated eagerly: radii
-    and iteration counts must be integers >= 1 (window sizes 2r+1 stay
-    odd by construction), widths and scales positive.  Parameters of
-    externally registered kinds pass through untouched.
+    The kind must be registered.  For the built-in kinds the parameters
+    are validated eagerly: radii and iteration counts must be integers
+    >= 1 (window sizes 2r+1 stay odd by construction), widths and scales
+    positive.  Parameters of externally registered kinds pass through
+    untouched.
     """
 
     kind: str
@@ -62,6 +63,11 @@ class DenoiserSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "params", dict(self.params))
+        if self.kind not in _REGISTRY:
+            raise ValueError(
+                f"unknown denoiser {self.kind!r}; "
+                f"available: {', '.join(available_denoisers())}"
+            )
         spec = _PARAM_SPECS.get(self.kind)
         if spec is None:
             return
@@ -263,12 +269,7 @@ def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
     """
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    fn = _REGISTRY.get(spec.kind)
-    if fn is None:
-        raise ValueError(
-            f"unknown denoiser {spec.kind!r}; available: {', '.join(available_denoisers())}"
-        )
-    out = fn(volume.values, float(sigma), spec.resolved())
+    out = _REGISTRY[spec.kind](volume.values, float(sigma), spec.resolved())
     if out.shape != volume.values.shape:
         raise ComputeError(
             f"denoiser {spec.kind!r} changed the volume shape: "

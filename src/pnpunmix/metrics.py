@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class MetricsReport:
     psnr: float | None = None
     psnr_peak: float | None = None
     psnr_mse: float | None = None
-    per_iteration_rmse: tuple[float, ...] | None = field(default=None)
 
     def to_dict(self) -> dict:
         out: dict = {"reconstruction_error": self.reconstruction_error}
@@ -91,8 +90,6 @@ class MetricsReport:
             out["psnr"] = self.psnr
             out["psnr_peak"] = self.psnr_peak
             out["psnr_mse"] = self.psnr_mse
-        if self.per_iteration_rmse is not None:
-            out["per_iteration_rmse"] = list(self.per_iteration_rmse)
         return out
 
 
@@ -102,7 +99,6 @@ def evaluate(
     estimate: AbundanceMatrix,
     truth: AbundanceMatrix | None = None,
     clean: PixelMatrix | None = None,
-    per_iteration_rmse: tuple[float, ...] | None = None,
 ) -> MetricsReport:
     """Score an abundance estimate against whatever references are available.
 
@@ -112,7 +108,6 @@ def evaluate(
         estimate: abundances under evaluation.
         truth: ground-truth abundances, enables rmse.
         clean: noiseless spectra, enables reconstruction psnr.
-        per_iteration_rmse: optional trace to carry through to the report.
     """
     reconstruction = mix(endmembers, estimate)
     re = reconstruction_error(observed, reconstruction)
@@ -126,5 +121,4 @@ def evaluate(
         psnr=p,
         psnr_peak=peak,
         psnr_mse=pmse,
-        per_iteration_rmse=per_iteration_rmse,
     )

@@ -21,8 +21,8 @@ until max_iter is reached or the relative primal residual
 A-step against the consensus variable it was pulled toward, drops below
 stop_tol.  (Measured after the Z refresh instead, the residual of a
 do-nothing prior would be identically zero and every run would stop
-after one iteration.)  The last iterate is returned, together with full
-per-iteration telemetry.
+after one iteration.)  The last iterate is returned, together with one
+:class:`IterationRecord` per executed iteration.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .qp import MODES, _solve_batch
 
 __all__ = [
     "PnpConfig",
+    "IterationRecord",
     "AdmmState",
     "unmix",
     "primal_residual",
@@ -108,36 +109,51 @@ class PnpConfig:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if not (np.isfinite(self.alpha) and self.alpha >= 1.0):
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
+@dataclass(frozen=True)
+class IterationRecord:
+    """What one executed iteration k measured."""
+
+    rho: float  # penalty rho_k = rho0 * alpha^k
+    sigma: float  # denoiser noise level sqrt(lambda / rho_k)
+    primal_residual: float  # the stop rule's gap, taken after the A-step
+    rmse: float | None  # abundance rmse against truth; None without truth
+    a_step_seconds: float
+    z_step_seconds: float
+    qp_unconverged: int  # pixels whose QP missed the inner tolerance
+
+
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """Final loop state plus per-iteration telemetry.
-
-    All trace tuples have one entry per executed iteration.  ``rmse_trace``
-    is present only when ground truth was supplied to :func:`unmix`.
-    """
+    """Final loop state plus one record per executed iteration."""
 
     a: AbundanceMatrix
     z: PixelMatrix
     u: PixelMatrix
-    rho_k: float
-    iteration: int
-    primal_residuals: tuple[float, ...]
     mode: str
     endmembers: EndmemberMatrix
-    rho_trace: tuple[float, ...]
-    sigma_trace: tuple[float, ...]
-    rmse_trace: tuple[float, ...] | None = None
-    a_step_seconds: tuple[float, ...] = field(default=())
-    z_step_seconds: tuple[float, ...] = field(default=())
-    qp_unconverged: tuple[int, ...] = field(default=())
+    iterations: tuple[IterationRecord, ...]
+
+    @property
+    def iteration(self) -> int:
+        """Number of executed iterations."""
+        return len(self.iterations)
+
+    # per-iteration columns read by the benchmark's traced pass (bench/spans.py)
+    @property
+    def a_step_seconds(self) -> tuple[float, ...]:
+        return tuple(r.a_step_seconds for r in self.iterations)
+
+    @property
+    def qp_unconverged(self) -> tuple[int, ...]:
+        return tuple(r.qp_unconverged for r in self.iterations)
 
 
 def _apply_h(mode: str, m: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -157,14 +173,14 @@ def unmix(
         observed: data to unmix, (bands, pixels).
         endmembers: known spectra, (bands, endmembers).
         cfg: loop configuration.
-        truth: optional ground truth; when given, the returned state
-            carries an abundance-rmse trace for convergence plots.
+        truth: optional ground truth; when given, every iteration
+            record carries the abundance rmse, for convergence plots.
 
     Returns:
-        (final abundances, state with telemetry).
+        (final abundances, state with one record per iteration).
 
     Pixels whose QP missed the inner tolerance keep their last feasible
-    value and are counted per iteration in state.qp_unconverged; a single
+    value and are counted in each record's qp_unconverged; a single
     summary warning is emitted at the end if any occurred.  Non-finite
     values anywhere raise ComputeError naming the step.
     """
@@ -187,15 +203,7 @@ def unmix(
     z = ha.copy()
     u = np.zeros_like(z)
 
-    residuals: list[float] = []
-    rho_trace: list[float] = []
-    sigma_trace: list[float] = []
-    rmse_trace: list[float] = []
-    a_seconds: list[float] = []
-    z_seconds: list[float] = []
-    qp_flags: list[int] = []
-    iteration = 0
-
+    records: list[IterationRecord] = []
     for k in range(cfg.max_iter):
         rho_k = cfg.rho0 * cfg.alpha**k
         x_tilde = z - u
@@ -208,8 +216,7 @@ def unmix(
             q = mtm + rho_k * np.eye(count)
             fs = -(mty + rho_k * x_tilde)
         a, _, conv, _, _ = _solve_batch(q, fs, a)
-        a_seconds.append(time.perf_counter() - tic)
-        qp_flags.append(int((~conv).sum()))
+        a_seconds = time.perf_counter() - tic
         if not np.isfinite(a).all():
             raise ComputeError("a-step produced non-finite abundances")
         worst_sum = float(np.abs(a.sum(axis=0) - 1.0).max())
@@ -230,22 +237,25 @@ def unmix(
             z = unfold(denoise(cfg.denoiser, volume, sigma_k)).values
         except ValueError as exc:
             raise ComputeError(f"z-step failed: {exc}") from exc
-        z_seconds.append(time.perf_counter() - tic)
+        z_seconds = time.perf_counter() - tic
 
         u = u + ha - z
         if not np.isfinite(u).all():
             raise ComputeError("u-step produced non-finite values")
 
-        residuals.append(residual)
-        rho_trace.append(rho_k)
-        sigma_trace.append(sigma_k)
-        if truth is not None:
-            rmse_trace.append(_rmse(truth, AbundanceMatrix(a, rows, cols)))
-        iteration = k + 1
+        records.append(IterationRecord(
+            rho=rho_k,
+            sigma=sigma_k,
+            primal_residual=residual,
+            rmse=None if truth is None else _rmse(truth, AbundanceMatrix(a, rows, cols)),
+            a_step_seconds=a_seconds,
+            z_step_seconds=z_seconds,
+            qp_unconverged=int((~conv).sum()),
+        ))
         if residual < cfg.stop_tol:
             break
 
-    total_bad = sum(qp_flags)
+    total_bad = sum(r.qp_unconverged for r in records)
     if total_bad:
         warnings.warn(
             f"{total_bad} pixel QP solves (summed over iterations) missed the "
@@ -256,17 +266,9 @@ def unmix(
         a=AbundanceMatrix(a, rows, cols),
         z=PixelMatrix(z, rows, cols),
         u=PixelMatrix(u, rows, cols),
-        rho_k=rho_trace[-1],
-        iteration=iteration,
-        primal_residuals=tuple(residuals),
         mode=cfg.mode,
         endmembers=endmembers,
-        rho_trace=tuple(rho_trace),
-        sigma_trace=tuple(sigma_trace),
-        rmse_trace=tuple(rmse_trace) if truth is not None else None,
-        a_step_seconds=tuple(a_seconds),
-        z_step_seconds=tuple(z_seconds),
-        qp_unconverged=tuple(qp_flags),
+        iterations=tuple(records),
     )
     return state.a, state
 

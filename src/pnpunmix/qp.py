@@ -31,7 +31,7 @@ from .cube import PixelMatrix
 from .errors import ShapeError
 from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
 
-__all__ = ["QpProblem", "QpSolution", "build_subproblem", "solve_simplex_qp", "fcls"]
+__all__ = ["QpProblem", "QpSolution", "solve_simplex_qp", "fcls"]
 
 MODES = ("pro-h", "pro-a")
 SYM_TOL = 1e-10
@@ -106,55 +106,6 @@ class QpSolution:
         a = np.array(self.a, dtype=np.float64)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-
-
-def build_subproblem(
-    endmembers: EndmemberMatrix,
-    mode: str,
-    y: np.ndarray,
-    x_tilde: np.ndarray | None,
-    rho: float,
-) -> QpProblem:
-    """Assemble one pixel's QP from the data-fit and coupling terms.
-
-    Args:
-        endmembers: spectra M, shape (bands, endmembers).
-        mode: "pro-h" couples through the reconstructed spectrum (the
-            splitting variable lives in image space), "pro-a" couples the
-            abundance vector itself.
-        y: observed pixel spectrum, shape (bands,).
-        x_tilde: coupling target; shape (bands,) for pro-h, (endmembers,)
-            for pro-a.  May be None when rho == 0.
-        rho: coupling weight, >= 0.  rho == 0 reduces both modes to the
-            plain least-squares problem Q = M'M, f = -M'y.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not np.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    m = endmembers.values
-    bands, count = m.shape
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (bands,):
-        raise ShapeError(f"y must have shape ({bands},), got {y.shape}")
-    mtm = m.T @ m
-    mty = m.T @ y
-    if rho == 0.0:
-        return QpProblem(mtm, -mty)
-    if x_tilde is None:
-        raise ValueError("x_tilde is required when rho > 0")
-    xt = np.asarray(x_tilde, dtype=np.float64)
-    if mode == "pro-h":
-        if xt.shape != (bands,):
-            raise ShapeError(f"x_tilde must have shape ({bands},), got {xt.shape}")
-        q = (1.0 + rho) * mtm
-        f = -(mty + rho * (m.T @ xt))
-    else:
-        if xt.shape != (count,):
-            raise ShapeError(f"x_tilde must have shape ({count},), got {xt.shape}")
-        q = mtm + rho * np.eye(count)
-        f = -(mty + rho * xt)
-    return QpProblem(q, f)
 
 
 def _lu_solve_cols(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

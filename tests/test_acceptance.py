@@ -232,8 +232,8 @@ def test_criterion_06_schedule_and_feasibility(capsys, trend_runs):
         # power rounds differently in the last ulp
         want_rho = [cfg.rho0 * cfg.alpha**k for k in range(state.iteration)]
         want_sigma = [float(np.sqrt(cfg.lam / r)) for r in want_rho]
-        schedule_ok = schedule_ok and list(state.rho_trace) == want_rho
-        schedule_ok = schedule_ok and list(state.sigma_trace) == want_sigma
+        schedule_ok = schedule_ok and [r.rho for r in state.iterations] == want_rho
+        schedule_ok = schedule_ok and [r.sigma for r in state.iterations] == want_sigma
 
     finals = [st.a for st, _ in states] + prefix_estimates
     worst_asc = max(abs(a.values.sum(axis=0) - 1.0).max() for a in finals)
@@ -255,8 +255,8 @@ def test_criterion_07_early_progress(capsys, trend_runs):
     for snr in TREND_SNRS:
         for mode in ("pro-h", "pro-a"):
             state = runs[snr][2][mode][1]
-            trace = state.rmse_trace
-            assert trace is not None and len(trace) == 20
+            trace = [r.rmse for r in state.iterations]
+            assert None not in trace and len(trace) == 20
             ratio = trace[2] / trace[19]
             ok = ok and ratio <= EARLY_RATIO
             details.append(f"{mode}@{snr:g}dB {ratio:.3f}")

@@ -174,6 +174,52 @@ class TestUnmixCommand:
         assert rhos == sorted(rhos)
         assert rhos[1] > rhos[0]
 
+    def test_trace_and_metrics_write_the_iteration_records(
+        self, scene_dir, tmp_path, capsys
+    ):
+        truth = read_abundances(scene_dir / "truth.raw")
+        _, state = unmix(
+            unfold(read_cube(scene_dir / "noisy.raw")),
+            read_endmembers(scene_dir / "endmembers.csv"),
+            default_config("pro-a", "nlm", max_iter=3),
+            truth=truth,
+        )
+        out = tmp_path / "ref"
+        assert run_unmix(scene_dir, out, "--max-iter", "3",
+                         "--truth", str(scene_dir / "truth.raw")) == 0
+        printed = json.loads(capsys.readouterr().out)
+        rows = [line.split(",") for line in
+                (out / "trace.csv").read_text().splitlines()]
+        assert rows[0] == ["iteration", "rho", "sigma", "primal_residual", "rmse"]
+        assert rows[1:] == [
+            [str(i), repr(r.rho), repr(r.sigma), repr(r.primal_residual), repr(r.rmse)]
+            for i, r in enumerate(state.iterations, 1)
+        ]
+        record = json.loads((out / "metrics.json").read_text())
+        assert record["per_iteration_rmse"] == [r.rmse for r in state.iterations]
+        assert printed == record
+
+        bare = tmp_path / "bare"
+        assert run_unmix(scene_dir, bare, "--max-iter", "3") == 0
+        assert "per_iteration_rmse" not in json.loads(capsys.readouterr().out)
+        rows = [line.split(",") for line in
+                (bare / "trace.csv").read_text().splitlines()]
+        assert rows[0] == ["iteration", "rho", "sigma", "primal_residual"]
+        assert rows[1:] == [
+            [str(i), repr(r.rho), repr(r.sigma), repr(r.primal_residual)]
+            for i, r in enumerate(state.iterations, 1)
+        ]
+        assert "per_iteration_rmse" not in json.loads(
+            (bare / "metrics.json").read_text())
+
+    def test_unknown_denoiser_is_configuration_error(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_unmix(scene_dir, out, "--denoiser", "nosuch") == 2
+        err = capsys.readouterr().err
+        assert "[configuration]" in err and "nosuch" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_maps_written_per_endmember(self, scene_dir, tmp_path):
         out = tmp_path / "run"
         assert run_unmix(scene_dir, out, "--denoiser", "identity",

@@ -19,6 +19,7 @@ from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
 from pnpunmix.pnp import (
     PRESETS,
     AdmmState,
+    IterationRecord,
     PnpConfig,
     default_config,
     primal_residual,
@@ -65,23 +66,24 @@ def test_rho_schedule_exact():
     cfg = _identity_cfg("pro-a", rho0=0.7, alpha=1.1, max_iter=6)
     _, state = unmix(noisy, em, cfg)
     expected = [0.7 * 1.1**k for k in range(state.iteration)]
-    assert list(state.rho_trace) == expected  # bitwise, not approximately
-    assert state.rho_k == expected[-1]
+    assert [r.rho for r in state.iterations] == expected  # bitwise, not approximately
+    assert state.iterations[-1].rho == expected[-1]
 
 
 def test_constant_rho_at_alpha_one():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     _, state = unmix(noisy, em, _identity_cfg("pro-h", rho0=0.3, max_iter=5))
-    assert set(state.rho_trace) == {0.3}
+    assert {r.rho for r in state.iterations} == {0.3}
 
 
 def test_sigma_trace_follows_schedule():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     cfg = _identity_cfg("pro-a", rho0=2.0, lam=5e-4, alpha=1.2, max_iter=7)
     _, state = unmix(noisy, em, cfg)
-    expected = np.sqrt(cfg.lam / np.asarray(state.rho_trace))
-    assert_array_equal(np.asarray(state.sigma_trace), expected)
-    assert (np.diff(state.sigma_trace) <= 0).all()
+    sigmas = [r.sigma for r in state.iterations]
+    expected = np.sqrt(cfg.lam / np.asarray([r.rho for r in state.iterations]))
+    assert_array_equal(np.asarray(sigmas), expected)
+    assert (np.diff(sigmas) <= 0).all()
 
 
 @pytest.mark.parametrize("mode,channels", [("pro-h", 16), ("pro-a", 3)])
@@ -99,24 +101,17 @@ def test_telemetry_lengths_and_stop_rule():
     _, state = unmix(noisy, em, cfg, truth=truth)
     n = state.iteration
     assert n < 50  # identity denoiser contracts fast at small rho
-    assert state.primal_residuals[-1] < 1e-3
-    assert (np.asarray(state.primal_residuals[:-1]) >= 1e-3).all()
-    for trace in (
-        state.primal_residuals,
-        state.rho_trace,
-        state.sigma_trace,
-        state.rmse_trace,
-        state.a_step_seconds,
-        state.z_step_seconds,
-        state.qp_unconverged,
-    ):
-        assert len(trace) == n
+    residuals = [r.primal_residual for r in state.iterations]
+    assert residuals[-1] < 1e-3
+    assert (np.asarray(residuals[:-1]) >= 1e-3).all()
+    assert all(r.rmse is not None for r in state.iterations)
+    assert len(state.a_step_seconds) == len(state.qp_unconverged) == n
 
 
 def test_rmse_trace_needs_truth():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=3))
-    assert state.rmse_trace is None
+    assert all(r.rmse is None for r in state.iterations)
 
 
 def test_same_seed_bitwise_reproducible():
@@ -133,7 +128,8 @@ def test_same_seed_bitwise_reproducible():
     a1, s1 = unmix(noisy, em, cfg)
     a2, s2 = unmix(noisy, em, cfg)
     assert_array_equal(a1.values, a2.values)
-    assert list(s1.primal_residuals) == list(s2.primal_residuals)
+    assert ([r.primal_residual for r in s1.iterations]
+            == [r.primal_residual for r in s2.iterations])
 
 
 def test_abundances_feasible_every_iteration():
@@ -183,6 +179,9 @@ def test_config_validation():
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, alpha=0.9)
     with pytest.raises(ValueError, match="max_iter"):
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=0)
+    for max_iter in (2.5, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=max_iter)
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ValueError, match="seed"):
             PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, seed=seed)
@@ -195,7 +194,7 @@ def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
     em, truth, clean, noisy = _scene()
     with pytest.warns(UserWarning) as record:
         est, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=5))
-    missed = sum(state.qp_unconverged)
+    missed = sum(r.qp_unconverged for r in state.iterations)
     assert missed > 0
     assert len(record) == 1
     assert f"{missed} pixel QP solves" in str(record[0].message)
@@ -210,13 +209,9 @@ def test_primal_residual_zero_at_consistency():
         a=truth,
         z=PixelMatrix(ha, 4, 4),
         u=PixelMatrix(np.zeros_like(ha), 4, 4),
-        rho_k=1.0,
-        iteration=1,
-        primal_residuals=(0.0,),
         mode="pro-h",
         endmembers=em,
-        rho_trace=(1.0,),
-        sigma_trace=(1.0,),
+        iterations=(IterationRecord(1.0, 1.0, 0.0, None, 0.0, 0.0, 0),),
     )
     assert primal_residual(state) == 0.0
 
@@ -228,7 +223,7 @@ def test_primal_residual_tiny_at_identity_fixed_point():
     em, truth, clean, noisy = _scene()
     _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=6))
     assert primal_residual(state) < 1e-10
-    res = np.asarray(state.primal_residuals)
+    res = np.asarray([r.primal_residual for r in state.iterations])
     assert res[-1] < res[0]
 
 

@@ -6,10 +6,6 @@ Hand-worked oracles (derived before the solver was written):
   projection of y.  Projections below were computed by hand with the
   sort-and-threshold rule: y already on the simplex stays put,
   y = (0.8, 0.4, -0.2) -> (0.7, 0.3, 0), y = (1.4, 0.2, -0.6) -> (1, 0, 0).
-* Subproblem matrices follow from expanding the augmented data-fit plus
-  coupling term: image-domain coupling gives Q = (1+rho) M^T M,
-  coefficient-domain coupling gives Q = M^T M + rho I, and both give
-  f = -(M^T y + rho H^T xtilde).
 * The brute-force oracle enumerates the simplex on a fixed grid and takes
   the best objective; the solver must never be worse (criterion lives in
   test_acceptance, a small version is exercised here).
@@ -28,7 +24,7 @@ from pnpunmix.cube import PixelMatrix, unfold
 from pnpunmix.errors import ShapeError
 from pnpunmix.model import EndmemberMatrix
 from pnpunmix.pnp import default_config, unmix
-from pnpunmix.qp import QpProblem, QpSolution, build_subproblem, fcls, solve_simplex_qp
+from pnpunmix.qp import QpProblem, QpSolution, fcls, solve_simplex_qp
 from pnpunmix.synth import SceneSpec, make_scene
 
 
@@ -145,48 +141,6 @@ def test_problem_validation():
         QpProblem(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         QpProblem(np.eye(2), np.array([np.nan, 0.0]))
-
-
-def test_build_subproblem_image_domain():
-    m = EndmemberMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / 2.0)
-    y = np.array([0.2, 0.3, 0.5])
-    xt = np.array([0.1, 0.1, 0.2])
-    prob = build_subproblem(m, "pro-h", y, xt, rho=1.0)
-    mtm = m.values.T @ m.values
-    assert_array_equal(prob.q, 2.0 * mtm)  # (1 + rho) with rho = 1, exactly
-    assert_allclose(prob.f, -(m.values.T @ y + m.values.T @ xt), rtol=0, atol=0)
-
-
-def test_build_subproblem_coefficient_domain():
-    m = EndmemberMatrix(np.eye(2))
-    y = np.array([1.0, 0.0])
-    xt = np.array([0.5, 0.5])
-    prob = build_subproblem(m, "pro-a", y, xt, rho=1.0)
-    assert_array_equal(prob.q, 2.0 * np.eye(2))
-    assert_array_equal(prob.f, np.array([-1.5, -0.5]))
-
-
-def test_build_subproblem_zero_rho_is_plain_least_squares():
-    m = EndmemberMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / 2.0)
-    y = np.array([0.2, 0.3, 0.5])
-    for mode in ("pro-h", "pro-a"):
-        prob = build_subproblem(m, mode, y, None, rho=0.0)
-        assert_array_equal(prob.q, m.values.T @ m.values)
-        assert_array_equal(prob.f, -(m.values.T @ y))
-
-
-def test_build_subproblem_validation():
-    m = EndmemberMatrix(np.eye(3))
-    with pytest.raises(ValueError, match="mode"):
-        build_subproblem(m, "pro-x", np.zeros(3), np.zeros(3), 1.0)
-    with pytest.raises(ValueError, match="rho"):
-        build_subproblem(m, "pro-a", np.zeros(3), np.zeros(3), -1.0)
-    with pytest.raises(ShapeError):
-        build_subproblem(m, "pro-a", np.zeros(2), np.zeros(3), 1.0)
-    with pytest.raises(ShapeError):
-        build_subproblem(m, "pro-a", np.zeros(3), np.zeros(2), 1.0)
-    with pytest.raises(ShapeError):
-        build_subproblem(m, "pro-h", np.zeros(3), np.zeros(2), 1.0)
 
 
 def test_fcls_recovers_noiseless_mixture():
