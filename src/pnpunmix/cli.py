@@ -27,10 +27,12 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .cube import fold, unfold
+from .cube import fold
 from .denoise import DenoiserSpec, available_denoisers, denoise
 from .errors import ComputeError, FileFormatError, ShapeError
 from .io import (
+    _read_pixels,
+    _write_pixels,
     read_abundances,
     read_config,
     read_cube,
@@ -240,10 +242,10 @@ def cmd_unmix(args) -> int:
     with _phase("configuration"):
         rc = _build_run_config(args)
     with _phase("input parsing"):
-        observed = unfold(read_cube(rc.cube))
+        observed = _read_pixels(rc.cube)
         endmembers = read_endmembers(rc.endmembers)
         truth = read_abundances(rc.truth) if rc.truth else None
-        clean = unfold(read_cube(rc.clean)) if rc.clean else None
+        clean = _read_pixels(rc.clean) if rc.clean else None
     with _phase("unmixing"):
         estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth)
     with _phase("evaluation"):
@@ -255,8 +257,7 @@ def cmd_unmix(args) -> int:
     with _phase("output writing"):
         rc.out_dir.mkdir(parents=True, exist_ok=True)
         write_abundances(rc.out_dir / ABUNDANCE_FILE, estimate)
-        write_cube(rc.out_dir / RECONSTRUCTION_FILE,
-                   fold(mix(endmembers, estimate)))
+        _write_pixels(rc.out_dir / RECONSTRUCTION_FILE, mix(endmembers, estimate))
         if rc.emit_metrics:
             (rc.out_dir / METRICS_FILE).write_text(
                 json.dumps(record, sort_keys=True, indent=2) + "\n"
@@ -275,9 +276,9 @@ def cmd_eval(args) -> int:
     with _phase("input parsing"):
         estimate = read_abundances(args.estimate)
         endmembers = read_endmembers(args.endmembers)
-        observed = unfold(read_cube(args.observed))
+        observed = _read_pixels(args.observed)
         truth = read_abundances(args.truth) if args.truth else None
-        clean = unfold(read_cube(args.clean)) if args.clean else None
+        clean = _read_pixels(args.clean) if args.clean else None
     with _phase("evaluation"):
         report = evaluate(endmembers, observed, estimate, truth=truth, clean=clean)
     record = json.dumps(report.to_dict(), sort_keys=True)
@@ -376,7 +377,11 @@ def main(argv=None) -> int:
     except ComputeError as exc:
         return _report(exc, EXIT_COMPUTE)
     except ValueError as exc:
-        return _report(exc, EXIT_USAGE)
+        # settings and inputs are checked before unmixing starts, so a
+        # ValueError escaping it is a bug, such as a plug-in denoiser's own
+        if getattr(exc, "_pnp_stage", None) != "unmixing":
+            return _report(exc, EXIT_USAGE)
+        return _report(exc, EXIT_UNEXPECTED, f"{type(exc).__name__}: ")
     except OSError as exc:
         return _report(exc, EXIT_IO)
     except Exception as exc:

@@ -264,8 +264,8 @@ def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
         sigma: nonnegative noise level handed to the denoiser.
 
     Returns:
-        A cube of the same shape; a shape-changing denoiser is a
-        ComputeError.
+        A cube of the same shape; a shape-changing denoiser or non-finite
+        output is a ComputeError.  The denoiser's own exceptions propagate.
     """
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -275,4 +275,7 @@ def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
             f"denoiser {spec.kind!r} changed the volume shape: "
             f"{volume.values.shape} -> {out.shape}"
         )
-    return HsiCube(out)
+    try:
+        return HsiCube(out)
+    except ValueError as exc:
+        raise ComputeError(f"denoiser {spec.kind!r}: {exc}") from None

@@ -1,12 +1,12 @@
 """File formats: raw cubes with text sidecars, CSV spectra, graymaps, configs.
 
-A cube on disk is a raw little-endian 32-bit float payload in band-major
-order (within each band, pixels run down the columns, row index fastest)
-next to a ``.hdr`` text sidecar naming the shape and encoding. Abundances
-reuse the same container with one channel per endmember; reading them back
-applies a loosened sum-to-one tolerance because 32-bit storage rounds the
-fractions. Endmember spectra travel as plain CSV, maps as binary PGM,
-run parameters as flat ``key = value`` text.
+A cube on disk is its PixelMatrix: a raw little-endian 32-bit float payload
+in band-major order (within each band, pixels run down the columns, row
+index fastest) next to a ``.hdr`` text sidecar naming shape and encoding.
+Abundances reuse the same container with one channel per endmember; reading
+them back applies a loosened sum-to-one tolerance because 32-bit storage
+rounds the fractions. Endmember spectra travel as plain CSV, maps as binary
+PGM, run parameters as flat ``key = value`` text.
 
 Every reader raises FileFormatError with the offending path in the message;
 shape and content checks of the reconstructed objects are delegated to the
@@ -16,6 +16,7 @@ container types.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +51,25 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".hdr")
 
 
-def write_cube(path, cube: HsiCube) -> None:
-    """Write a cube as raw float32 payload plus ``.hdr`` sidecar."""
+def _write_pixels(path, matrix) -> None:
+    """Write a (channels, pixels) container as float32 payload plus ``.hdr``."""
     path = Path(path)
-    matrix = unfold(cube)
     payload = matrix.values.astype("<f4").tobytes(order="C")
     lines = [
-        f"channels = {cube.bands}",
-        f"rows = {cube.rows}",
-        f"cols = {cube.cols}",
+        f"channels = {matrix.values.shape[0]}",
+        f"rows = {matrix.spatial_rows}",
+        f"cols = {matrix.spatial_cols}",
         f"dtype = {_DTYPE_TAG}",
         f"layout = {_LAYOUT_TAG}",
         f"endianness = {_ENDIAN_TAG}",
     ]
     _sidecar(path).write_text("\n".join(lines) + "\n", encoding="ascii")
     path.write_bytes(payload)
+
+
+def write_cube(path, cube: HsiCube) -> None:
+    """Write a cube as raw float32 payload plus ``.hdr`` sidecar."""
+    _write_pixels(path, unfold(cube))
 
 
 def _parse_sidecar(path: Path) -> tuple[int, int, int]:
@@ -98,7 +103,8 @@ def _parse_sidecar(path: Path) -> tuple[int, int, int]:
     return channels, rows, cols
 
 
-def _read_payload(path: Path) -> tuple[np.ndarray, int, int]:
+def _read_pixels(path, container=PixelMatrix):
+    """The (channels, pixels) matrix a payload stores; exact length enforced."""
     path = Path(path)
     channels, rows, cols = _parse_sidecar(path)
     if not path.is_file():
@@ -109,30 +115,26 @@ def _read_payload(path: Path) -> tuple[np.ndarray, int, int]:
         raise FileFormatError(
             f"{path}: payload is {len(data)} bytes, header implies {expected}"
         )
-    values = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    return values.reshape(channels, rows * cols), rows, cols
+    # the container's own copy is the one float32 -> float64 conversion
+    values = np.frombuffer(data, dtype="<f4").reshape(channels, rows * cols)
+    try:
+        return container(values, rows, cols)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def read_cube(path) -> HsiCube:
     """Read a cube written by write_cube; exact payload length enforced."""
-    values, rows, cols = _read_payload(Path(path))
-    try:
-        return fold(PixelMatrix(values, rows, cols))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return fold(_read_pixels(path))
 
 
 def write_abundances(path, abundances: AbundanceMatrix) -> None:
     """Store abundance planes in the cube container, one channel per endmember."""
-    write_cube(path, fold(abundances))
+    _write_pixels(path, abundances)
 
 
 def read_abundances(path, asc_tol: float = STORED_ASC_TOL) -> AbundanceMatrix:
-    values, rows, cols = _read_payload(Path(path))
-    try:
-        return AbundanceMatrix(values, rows, cols, asc_tol=asc_tol)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return _read_pixels(path, partial(AbundanceMatrix, asc_tol=asc_tol))
 
 
 def write_endmembers(path, endmembers: EndmemberMatrix) -> None:

@@ -182,7 +182,8 @@ def unmix(
     Pixels whose QP missed the inner tolerance keep their last feasible
     value and are counted in each record's qp_unconverged; a single
     summary warning is emitted at the end if any occurred.  Non-finite
-    values anywhere raise ComputeError naming the step.
+    values anywhere raise ComputeError naming the step; any exception the
+    denoiser itself raises propagates unchanged.
     """
     if observed.channels != endmembers.bands:
         raise ShapeError(
@@ -235,7 +236,7 @@ def unmix(
         try:
             volume = fold(PixelMatrix(z_tilde, rows, cols))
             z = unfold(denoise(cfg.denoiser, volume, sigma_k)).values
-        except ValueError as exc:
+        except ComputeError as exc:
             raise ComputeError(f"z-step failed: {exc}") from exc
         z_seconds = time.perf_counter() - tic
 

@@ -22,7 +22,7 @@ from pnpunmix.io import (
     write_endmembers,
 )
 from pnpunmix.metrics import evaluate
-from pnpunmix.model import AbundanceMatrix, EndmemberMatrix
+from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, mix
 from pnpunmix.pnp import default_config, unmix
 from pnpunmix.qp import fcls
 from pnpunmix.synth import SceneSpec
@@ -313,6 +313,10 @@ class TestUnmixCommand:
         write_abundances(tmp_path / "library.raw", estimate)
         assert ((out / "abundances.raw").read_bytes()
                 == (tmp_path / "library.raw").read_bytes())
+        endmembers = read_endmembers(scene_dir / "endmembers.csv")
+        write_cube(tmp_path / "mixed.raw", fold(mix(endmembers, estimate)))
+        assert ((out / "reconstruction.raw").read_bytes()
+                == (tmp_path / "mixed.raw").read_bytes())
 
     def test_negative_seed_is_configuration_error(self, scene_dir, tmp_path, capsys):
         assert run_unmix(scene_dir, tmp_path / "o", "--denoiser", "identity",
@@ -432,6 +436,14 @@ class TestDenoiseCommand:
         assert code == 2
         assert "wavelet" in capsys.readouterr().err
 
+    def test_negative_sigma_is_usage_error(self, scene_dir, tmp_path, capsys):
+        code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
+                     "--out", str(tmp_path / "x.raw"), "--kind", "identity",
+                     "--sigma", "-0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[denoising]" in err and "sigma" in err
+
     def test_non_numeric_param_is_usage_error(self, scene_dir, tmp_path, capsys):
         code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
                      "--out", str(tmp_path / "x.raw"), "--kind", "nlm",
@@ -501,6 +513,22 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "pnpunmix: error [unmixing]: TypeError: plug-in bug\n"
+
+    def test_plugin_value_error_is_unexpected_error_with_stage(
+        self, scene_dir, tmp_path, capsys
+    ):
+        # a ValueError is the plug-in's own bug, not a usage or numerical error
+        def broken(volume, sigma):
+            raise ValueError("plug-in bug")
+
+        try:
+            register_denoiser("cli-raises-value", broken)
+        except ValueError:
+            pass
+        code = run_unmix(scene_dir, tmp_path / "o", "--denoiser", "cli-raises-value")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "pnpunmix: error [unmixing]: ValueError: plug-in bug\n"
 
     def test_unwritable_output_is_io_error(self, scene_dir, tmp_path, capsys):
         blocker = tmp_path / "blocked"

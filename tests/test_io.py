@@ -1,12 +1,17 @@
 """File formats: round-trips, pinned quantization, malformed-input errors."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pnpunmix.cube import HsiCube, unfold
+from pnpunmix.cube import HsiCube, fold, unfold
 from pnpunmix.errors import FileFormatError
 from pnpunmix.io import (
     read_abundances,
@@ -128,6 +133,47 @@ class TestAbundanceFile:
         with pytest.raises(FileFormatError, match="sum"):
             read_abundances(path, asc_tol=1e-12)
         read_abundances(path)
+
+
+# channels or endmembers 1..5 (P=1 included), 1xN and Nx1 images included
+_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 7), st.integers(1, 7))
+_F32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+_FRACTIONS = st.floats(0.0, 1.0, width=32)
+
+
+def _files(path: Path) -> tuple[bytes, bytes]:
+    return path.read_bytes(), path.with_suffix(".hdr").read_bytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), shape=_SHAPES)
+def test_cube_file_round_trip_is_bitwise(data, shape):
+    cube = HsiCube(data.draw(arrays(np.float64, shape, elements=_F32)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cube.raw"
+        write_cube(path, cube)
+        assert path.read_bytes() == unfold(cube).values.astype("<f4").tobytes()
+        back = read_cube(path)
+    assert back.values.shape == cube.values.shape
+    assert back.values.tobytes() == cube.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), shape=_SHAPES)
+def test_abundance_file_matches_the_folded_cube_route(data, shape):
+    count, rows, cols = shape
+    raw = data.draw(arrays(np.float64, (count, rows * cols), elements=_FRACTIONS))
+    raw[0, raw.sum(axis=0) == 0.0] = 1.0
+    abundances = AbundanceMatrix(raw / raw.sum(axis=0), rows, cols)
+    with tempfile.TemporaryDirectory() as tmp:
+        direct, folded = Path(tmp) / "direct.raw", Path(tmp) / "folded.raw"
+        write_abundances(direct, abundances)
+        write_cube(folded, fold(abundances))
+        assert _files(direct) == _files(folded)
+        back = read_abundances(direct)
+    stored = abundances.values.astype("<f4").astype(np.float64)
+    assert (back.spatial_rows, back.spatial_cols) == (rows, cols)
+    assert back.values.tobytes() == stored.tobytes()
 
 
 class TestEndmemberCsv:

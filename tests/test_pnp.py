@@ -160,6 +160,20 @@ def test_nan_from_denoiser_names_the_step():
         unmix(noisy, em, cfg)
 
 
+def test_plugin_value_error_propagates_unchanged():
+    # only non-finite denoiser output is a numerical failure of the z-step
+    def broken(volume, sigma):
+        raise ValueError("plug-in bug")
+
+    register_denoiser("raises-value-test", broken)
+    em, truth, clean, noisy = _scene(rows=4, cols=4)
+    cfg = _identity_cfg("pro-h", max_iter=2)
+    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": DenoiserSpec("raises-value-test")})
+    with pytest.raises(ValueError, match="^plug-in bug$") as caught:
+        unmix(noisy, em, cfg)
+    assert type(caught.value) is ValueError
+
+
 def test_shape_mismatch_rejected():
     em, truth, clean, noisy = _scene()
     wrong = PixelMatrix(noisy.values[:-1], noisy.spatial_rows, noisy.spatial_cols)
