@@ -127,7 +127,6 @@ _UNMIX_OPTS = (
     _Opt("alpha", float, help="penalty growth factor per iteration"),
     _Opt("max_iter", int, help="iteration budget"),
     _Opt("stop_tol", float, help="relative primal residual stop"),
-    _Opt("seed", int, help="seed for the abundance initialization"),
     _Opt("emit_maps", _parse_bool, default=True, help="write per-endmember maps"),
     _Opt("emit_trace", _parse_bool, default=True, help="write per-iteration trace"),
     _Opt("emit_metrics", _parse_bool, default=True, help="write metrics JSON"),
@@ -249,15 +248,17 @@ def cmd_unmix(args) -> int:
     with _phase("unmixing"):
         estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth)
     with _phase("evaluation"):
+        reconstruction = mix(endmembers, estimate)
         record = evaluate(
-            endmembers, observed, estimate, truth=truth, clean=clean
+            endmembers, observed, estimate, truth=truth, clean=clean,
+            reconstruction=reconstruction,
         ).to_dict()
         if truth is not None:
             record["per_iteration_rmse"] = [r.rmse for r in state.iterations]
     with _phase("output writing"):
         rc.out_dir.mkdir(parents=True, exist_ok=True)
         write_abundances(rc.out_dir / ABUNDANCE_FILE, estimate)
-        _write_pixels(rc.out_dir / RECONSTRUCTION_FILE, mix(endmembers, estimate))
+        _write_pixels(rc.out_dir / RECONSTRUCTION_FILE, reconstruction)
         if rc.emit_metrics:
             (rc.out_dir / METRICS_FILE).write_text(
                 json.dumps(record, sort_keys=True, indent=2) + "\n"
@@ -298,6 +299,10 @@ def cmd_denoise(args) -> int:
             key, _, raw = item.partition("=")
             params[key.strip()] = _parse_number(raw)
         spec = DenoiserSpec(args.kind, params)
+    # checked before any input is read, under the stage it configures
+    with _phase("denoising"):
+        if not 0.0 <= args.sigma < float("inf"):
+            raise UsageError(f"sigma must be finite and >= 0, got {args.sigma}")
     with _phase("input parsing"):
         cube = read_cube(args.input)
     with _phase("denoising"):
@@ -377,9 +382,10 @@ def main(argv=None) -> int:
     except ComputeError as exc:
         return _report(exc, EXIT_COMPUTE)
     except ValueError as exc:
-        # settings and inputs are checked before unmixing starts, so a
-        # ValueError escaping it is a bug, such as a plug-in denoiser's own
-        if getattr(exc, "_pnp_stage", None) != "unmixing":
+        # settings and inputs are checked before the compute stages, so a
+        # ValueError escaping one is a bug, such as a plug-in denoiser's own
+        if (isinstance(exc, UsageError)
+                or getattr(exc, "_pnp_stage", None) not in ("unmixing", "denoising")):
             return _report(exc, EXIT_USAGE)
         return _report(exc, EXIT_UNEXPECTED, f"{type(exc).__name__}: ")
     except OSError as exc:

@@ -7,7 +7,7 @@ that call is interchangeable.  Built-ins: ``identity`` (no prior),
 means with bandwidth h = h_scale * sigma), ``tv`` (rudin-osher-fatemi
 model with weight mu = sigma, solved by dual projected gradient).
 
-All built-ins filter each band alone, in order on one thread, with
+All built-ins filter each channel alone, in order on one thread, with
 replicate borders.  External denoisers (a learned prior, say) plug in
 through :func:`register_denoiser` with the signature ``fn(volume,
 sigma) -> volume``.
@@ -236,6 +236,9 @@ _REGISTRY: dict[str, Callable] = {
 
 def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
     """Add an external denoiser under a new name.
+
+    In ``unmix`` the volume has one channel per endmember, not per band:
+    abundance planes (pro-a) or basis coefficients of the spectra (pro-h).
 
     Args:
         name: registry key for config files and the command line.

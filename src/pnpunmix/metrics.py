@@ -99,6 +99,7 @@ def evaluate(
     estimate: AbundanceMatrix,
     truth: AbundanceMatrix | None = None,
     clean: PixelMatrix | None = None,
+    reconstruction: PixelMatrix | None = None,
 ) -> MetricsReport:
     """Score an abundance estimate against whatever references are available.
 
@@ -108,8 +109,10 @@ def evaluate(
         estimate: abundances under evaluation.
         truth: ground-truth abundances, enables rmse.
         clean: noiseless spectra, enables reconstruction psnr.
+        reconstruction: ``mix(endmembers, estimate)`` if already formed.
     """
-    reconstruction = mix(endmembers, estimate)
+    if reconstruction is None:
+        reconstruction = mix(endmembers, estimate)
     re = reconstruction_error(observed, reconstruction)
     r = rmse(truth, estimate) if truth is not None else None
     p = peak = pmse = None

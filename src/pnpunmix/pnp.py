@@ -1,28 +1,28 @@
 """Plug-and-play ADMM unmixing loop.
 
-The constrained inverse problem is split in two: a per-pixel simplex QP
-that fits the data, and a denoiser that plays the prior on the split
-variable.  A pattern matrix H picks what the prior sees: mode "pro-h"
-sets H = M so the denoiser works on reconstructed spectra (bands x rows
-x cols volumes), mode "pro-a" sets H = I so it works on the abundance
-planes themselves.
+A per-pixel simplex QP fits the data and a denoiser plays the prior on
+the split variable z = H a; z and the scaled dual u are (P, pixels)
+arrays.  "pro-a" filters the abundance planes: H = I.  "pro-h" filters
+the spectra M a as coordinates in an orthonormal basis U of span(M):
+from the thin SVD M = U S V', each column of U signed so that its
+largest-magnitude entry is positive, H = S V', so U H = M and H'H = M'M.
+White noise of level sigma on the bands keeps level sigma on these
+coefficients, and a linear denoiser that treats all bands alike gives
+exactly the B-band loop.  A starts from the fully constrained
+least-squares fit and U from zero.  That start already minimizes the data
+term, so each iteration k (rho_k = rho0 * alpha^k in closed form, so the
+schedule is exact) refreshes Z before the A-step:
 
-Per iteration k (with penalty rho_k = rho0 * alpha^k, computed in closed
-form so the schedule is exact):
-
-    xtilde = Z - U
-    A      <- per-pixel QP with Q, f from (M, H, rho_k, xtilde)
-    ztilde = H A + U
-    Z      <- unfold(denoise(fold(ztilde), sigma = sqrt(lambda/rho_k)))
+    Z      <- unfold(denoise(fold(H A + U), sigma = sqrt(lambda/rho_k)))
     U      <- U + H A - Z
+    A      <- per-pixel QP, Q = M'M + rho_k H'H, f = -(M'y + rho_k H'(Z - U))
 
 until max_iter is reached or the relative primal residual
-||H A_{k+1} - Z_k||_F / max(||Z_k||_F, 1e-12), taken right after the
-A-step against the consensus variable it was pulled toward, drops below
-stop_tol.  (Measured after the Z refresh instead, the residual of a
-do-nothing prior would be identically zero and every run would stop
-after one iteration.)  The last iterate is returned, together with one
-:class:`IterationRecord` per executed iteration.
+||H A - Z||_F / max(||Z||_F, 1e-12), taken right after the A-step
+against the consensus variable it was pulled toward, drops below
+stop_tol; the identity prior, whose fixed point is the start, stops
+after one iteration.  The last iterate is returned with one
+:class:`IterationRecord` per iteration.
 """
 
 from __future__ import annotations
@@ -54,17 +54,16 @@ __all__ = [
 # (mode, denoiser kind, snr dB) -> (rho0, lambda); measured working points
 # for the shipped non-local means prior at the four standard noise levels
 PRESETS: dict[tuple[str, str, int], tuple[float, float]] = {
-    ("pro-h", "nlm", 5): (1.0, 3e-3),
-    ("pro-h", "nlm", 10): (0.5, 1e-3),
-    ("pro-h", "nlm", 20): (0.1, 2e-4),
-    ("pro-h", "nlm", 30): (0.005, 1e-4),
-    ("pro-a", "nlm", 5): (3.0, 3e-2),
-    ("pro-a", "nlm", 10): (3.0, 2e-2),
-    ("pro-a", "nlm", 20): (5.0, 3e-4),
-    ("pro-a", "nlm", 30): (5.0, 1e-4),
+    ("pro-h", "nlm", 5): (2.0, 1.2e-2),
+    ("pro-h", "nlm", 10): (1.0, 4e-3),
+    ("pro-h", "nlm", 20): (0.2, 8e-4),
+    ("pro-h", "nlm", 30): (0.02, 4e-4),
+    ("pro-a", "nlm", 5): (6.0, 6e-2),
+    ("pro-a", "nlm", 10): (6.0, 4e-2),
+    ("pro-a", "nlm", 20): (10.0, 6e-4),
+    ("pro-a", "nlm", 30): (10.0, 2e-4),
 }
 
-DEFAULT_ALPHA = 1.1
 FEASIBILITY_TOL = 1e-8
 
 
@@ -79,14 +78,13 @@ class PnpConfig:
         rho0: initial coupling weight, > 0.
         lam: prior weight lambda, > 0; the denoiser sees
             sigma = sqrt(lam / rho_k).
-        alpha: per-iteration growth of rho, >= 1 (the coupling only ever
-            tightens, so the denoiser gets more conservative over time).
+        alpha: per-iteration growth of rho, >= 1; the default 1 keeps
+            rho fixed, so the prior does not fade as the budget grows.
         max_iter: outer iteration budget K.
         stop_tol: relative primal residual threshold; the loop stops
             early once ||HA - Z||_F / max(||Z||_F, 1e-12) falls below it.
             Zero disables the early stop and runs all max_iter rounds.
             The last iterate is returned, not a best-so-far.
-        seed: non-negative integer seeding the random simplex start of A.
     """
 
     mode: str
@@ -96,7 +94,6 @@ class PnpConfig:
     alpha: float = 1.0
     max_iter: int = 20
     stop_tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -113,8 +110,6 @@ class PnpConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """Final loop state plus one record per executed iteration."""
+    """Final loop state (z and u: one channel per endmember) and records."""
 
     a: AbundanceMatrix
     z: PixelMatrix
@@ -156,8 +151,13 @@ class AdmmState:
         return tuple(r.qp_unconverged for r in self.iterations)
 
 
-def _apply_h(mode: str, m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return m @ a if mode == "pro-h" else a.copy()
+def _split_operator(mode: str, m: np.ndarray) -> np.ndarray:
+    """H of the split z = H a: the identity for pro-a, S V' for pro-h."""
+    if mode == "pro-a":
+        return np.eye(m.shape[1])
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    sign = np.sign(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
+    return (sign * s)[:, None] * vt
 
 
 def unmix(
@@ -180,42 +180,46 @@ def unmix(
         (final abundances, state with one record per iteration).
 
     Pixels whose QP missed the inner tolerance keep their last feasible
-    value and are counted in each record's qp_unconverged; a single
-    summary warning is emitted at the end if any occurred.  Non-finite
-    values anywhere raise ComputeError naming the step; any exception the
-    denoiser itself raises propagates unchanged.
+    value and are counted in each record's qp_unconverged; one summary
+    warning at the end counts them and the least-squares start's misses.
+    Non-finite values anywhere raise ComputeError naming the step; any
+    exception the denoiser itself raises propagates unchanged.
     """
     if observed.channels != endmembers.bands:
         raise ShapeError(
             f"{observed.channels} data channels vs {endmembers.bands} endmember bands"
         )
     m = endmembers.values
-    bands, count = m.shape
-    pixels = observed.pixels
     rows, cols = observed.spatial_rows, observed.spatial_cols
-
-    rng = np.random.default_rng(cfg.seed)
-    a = rng.uniform(size=(count, pixels))
-    a /= a.sum(axis=0)
-
+    h = _split_operator(cfg.mode, m)
+    hth = h.T @ h
     mtm = m.T @ m
     mty = np.einsum("li,ln->in", m, observed.values)
-    ha = _apply_h(cfg.mode, m, a)
-    z = ha.copy()
-    u = np.zeros_like(z)
+
+    a, _, conv, _, _ = _solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / endmembers.count))
+    start_bad = int((~conv).sum())
+    ha = np.einsum("ij,jn->in", h, a)
+    u = np.zeros_like(ha)
 
     records: list[IterationRecord] = []
     for k in range(cfg.max_iter):
         rho_k = cfg.rho0 * cfg.alpha**k
-        x_tilde = z - u
+        sigma_k = float(np.sqrt(cfg.lam / rho_k))
+        tic = time.perf_counter()
+        try:
+            volume = fold(PixelMatrix(ha + u, rows, cols))
+            z = unfold(denoise(cfg.denoiser, volume, sigma_k)).values
+        except ComputeError as exc:
+            raise ComputeError(f"z-step failed: {exc}") from exc
+        z_seconds = time.perf_counter() - tic
+
+        u = u + ha - z
+        if not np.isfinite(u).all():
+            raise ComputeError("u-step produced non-finite values")
 
         tic = time.perf_counter()
-        if cfg.mode == "pro-h":
-            q = (1.0 + rho_k) * mtm
-            fs = -(mty + rho_k * np.einsum("li,ln->in", m, x_tilde))
-        else:
-            q = mtm + rho_k * np.eye(count)
-            fs = -(mty + rho_k * x_tilde)
+        q = mtm + rho_k * hth
+        fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
         a, _, conv, _, _ = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
         if not np.isfinite(a).all():
@@ -227,23 +231,8 @@ def unmix(
                 f"min entry {a.min():.3e}"
             )
 
-        ha = _apply_h(cfg.mode, m, a)
+        ha = np.einsum("ij,jn->in", h, a)
         residual = float(np.linalg.norm(ha - z) / max(np.linalg.norm(z), 1e-12))
-
-        z_tilde = ha + u
-        sigma_k = float(np.sqrt(cfg.lam / rho_k))
-        tic = time.perf_counter()
-        try:
-            volume = fold(PixelMatrix(z_tilde, rows, cols))
-            z = unfold(denoise(cfg.denoiser, volume, sigma_k)).values
-        except ComputeError as exc:
-            raise ComputeError(f"z-step failed: {exc}") from exc
-        z_seconds = time.perf_counter() - tic
-
-        u = u + ha - z
-        if not np.isfinite(u).all():
-            raise ComputeError("u-step produced non-finite values")
-
         records.append(IterationRecord(
             rho=rho_k,
             sigma=sigma_k,
@@ -256,11 +245,12 @@ def unmix(
         if residual < cfg.stop_tol:
             break
 
-    total_bad = sum(r.qp_unconverged for r in records)
-    if total_bad:
+    loop_bad = sum(r.qp_unconverged for r in records)
+    if loop_bad or start_bad:
         warnings.warn(
-            f"{total_bad} pixel QP solves (summed over iterations) missed the "
-            "inner tolerance; their last feasible iterates were used",
+            f"{loop_bad} pixel QP solves (summed over iterations) and {start_bad} "
+            "of the least-squares start missed the inner tolerance; their last "
+            "feasible iterates were used",
             stacklevel=2,
         )
     state = AdmmState(
@@ -277,12 +267,12 @@ def unmix(
 def primal_residual(state: AdmmState) -> float:
     """Relative splitting mismatch ||HA - Z||_F / max(||Z||_F, 1e-12).
 
-    Evaluated on the state's final pair, so it is (up to the dual update)
-    the gap the next A-step would see; near any fixed point it is small.
+    Evaluated on the state's final pair with the loop's H: the gap the
+    last record's stop test saw.  Near any fixed point it is small.
     """
-    ha = _apply_h(state.mode, state.endmembers.values, state.a.values)
+    h = _split_operator(state.mode, state.endmembers.values)
     z = state.z.values
-    return float(np.linalg.norm(ha - z) / max(np.linalg.norm(z), 1e-12))
+    return float(np.linalg.norm(h @ state.a.values - z) / max(np.linalg.norm(z), 1e-12))
 
 
 def default_config(mode: str, denoiser_kind: str, snr_db: float = 20.0, **overrides):
@@ -290,19 +280,12 @@ def default_config(mode: str, denoiser_kind: str, snr_db: float = 20.0, **overri
 
     Looks up (rho0, lambda) for the mode/denoiser/SNR working point,
     falling back to (1.0, 1e-3) when no preset exists, as for an
-    infinite SNR; alpha defaults to DEFAULT_ALPHA.  Any field can be
-    overridden by keyword.  A NaN snr_db is a ValueError.
+    infinite SNR; the other fields take the PnpConfig defaults.  Any
+    field can be overridden by keyword.  A NaN snr_db is a ValueError.
     """
     if math.isnan(snr_db):
         raise ValueError(f"snr_db must be a number, got {snr_db}")
     level = int(round(snr_db)) if math.isfinite(snr_db) else None
     rho0, lam = PRESETS.get((mode, denoiser_kind, level), (1.0, 1e-3))
-    fields: dict = {
-        "mode": mode,
-        "denoiser": DenoiserSpec(denoiser_kind),
-        "rho0": rho0,
-        "lam": lam,
-        "alpha": DEFAULT_ALPHA,
-    }
-    fields.update(overrides)
-    return PnpConfig(**fields)
+    return PnpConfig(**{"mode": mode, "denoiser": DenoiserSpec(denoiser_kind),
+                        "rho0": rho0, "lam": lam, **overrides})

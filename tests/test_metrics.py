@@ -24,7 +24,7 @@ from pnpunmix.metrics import (
     reconstruction_error,
     rmse,
 )
-from pnpunmix.model import AbundanceMatrix, EndmemberMatrix
+from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, mix
 
 
 def _ab(values):
@@ -100,3 +100,18 @@ def test_evaluate_without_truth():
     assert report.rmse is None and report.psnr is None
     assert report.reconstruction_error == 0.0
     assert "rmse" not in report.to_dict()
+
+
+def test_evaluate_scores_a_given_reconstruction_as_its_own():
+    rng = np.random.default_rng(4)
+    em = EndmemberMatrix(rng.uniform(0.1, 0.9, size=(6, 3)))
+    est = AbundanceMatrix(rng.dirichlet(np.ones(3), size=8).T, 2, 4)
+    truth = AbundanceMatrix(rng.dirichlet(np.ones(3), size=8).T, 2, 4)
+    observed = PixelMatrix(rng.uniform(0.1, 0.9, size=(6, 8)), 2, 4)
+    clean = PixelMatrix(em.values @ truth.values, 2, 4)
+    formed = evaluate(em, observed, est, truth=truth, clean=clean)
+    given = evaluate(em, observed, est, truth=truth, clean=clean,
+                     reconstruction=mix(em, est))
+    assert given == formed
+    with pytest.raises(ShapeError):
+        evaluate(em, observed, est, reconstruction=PixelMatrix(np.ones((5, 8)), 2, 4))

@@ -6,13 +6,17 @@ proximal-point iteration for the constrained least-squares objective, so
 with a small coupling weight the result must match fcls.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pnpunmix import qp
-from pnpunmix.cube import PixelMatrix
-from pnpunmix.denoise import DenoiserSpec, register_denoiser
+from pnpunmix.cube import PixelMatrix, fold, unfold
+from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
 from pnpunmix.errors import ComputeError, ShapeError
 from pnpunmix.metrics import rmse
 from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
@@ -21,6 +25,7 @@ from pnpunmix.pnp import (
     AdmmState,
     IterationRecord,
     PnpConfig,
+    _split_operator,
     default_config,
     primal_residual,
     unmix,
@@ -46,7 +51,6 @@ def _identity_cfg(mode, **over):
         alpha=1.0,
         max_iter=20,
         stop_tol=1e-12,
-        seed=3,
     )
     base.update(over)
     return PnpConfig(**base)
@@ -61,9 +65,80 @@ def test_identity_denoiser_reaches_fcls(mode):
     assert state.iteration <= 20
 
 
+def _basis(m):
+    """The orthonormal U with M = U H that pro-h's coefficients refer to."""
+    return m @ np.linalg.inv(_split_operator("pro-h", m))
+
+
+def _full_band_proh(observed, em, cfg):
+    """Pro-h on B-band spectra, H = M: the loop the subspace pro-h replaces."""
+    m = em.values
+    rows, cols = observed.spatial_rows, observed.spatial_cols
+    mtm = m.T @ m
+    mty = m.T @ observed.values
+    a = qp._solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / em.count))[0]
+    ha = m @ a
+    u = np.zeros_like(ha)
+    for k in range(cfg.max_iter):
+        rho = cfg.rho0 * cfg.alpha**k
+        volume = fold(PixelMatrix(ha + u, rows, cols))
+        z = unfold(denoise(cfg.denoiser, volume, math.sqrt(cfg.lam / rho))).values
+        u = u + ha - z
+        a = qp._solve_batch((1.0 + rho) * mtm, -(mty + rho * m.T @ (z - u)), a)[0]
+        ha = m @ a
+    return a, z, u
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.05])
+@pytest.mark.parametrize("kind", ["gaussian", "identity"])
+def test_subspace_proh_matches_the_full_band_loop(kind, alpha):
+    # a linear denoiser that treats every band alike keeps the B-band state
+    # in span(M), so the P-coefficient loop is the B-band loop up to rounding
+    em, truth, clean, noisy = _scene()
+    cfg = _identity_cfg("pro-h", denoiser=DenoiserSpec(kind), rho0=0.5,
+                        alpha=alpha, max_iter=8, stop_tol=0.0)
+    est, state = unmix(noisy, em, cfg)
+    a_ref, z_ref, u_ref = _full_band_proh(noisy, em, cfg)
+    basis = _basis(em.values)
+    assert state.iteration == 8
+    assert_allclose(est.values, a_ref, rtol=0, atol=1e-12)
+    assert_allclose(basis @ state.z.values, z_ref, rtol=0, atol=1e-12)
+    assert_allclose(basis @ state.u.values, u_ref, rtol=0, atol=1e-12)
+
+
+def test_subspace_basis_is_orthonormal_and_signed():
+    em, truth, clean, noisy = _scene(p=4)
+    h = _split_operator("pro-h", em.values)
+    assert_allclose(h.T @ h, em.values.T @ em.values, rtol=0, atol=1e-12)
+    basis = _basis(em.values)
+    assert_allclose(basis.T @ basis, np.eye(4), rtol=0, atol=1e-12)
+    peak = np.abs(basis).argmax(axis=0)
+    assert (basis[peak, np.arange(4)] > 0.0).all()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    count=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_permuting_endmembers_permutes_abundances(count, seed, data):
+    perm = np.asarray(data.draw(st.permutations(range(count))))
+    em, truth, clean, noisy = _scene(rows=6, cols=6, p=count, bands=12,
+                                     snr_db=10.0, seed=seed)
+    swapped = EndmemberMatrix(em.values[:, perm])
+    assert_allclose(fcls(swapped, noisy).values, fcls(em, noisy).values[perm],
+                    rtol=0, atol=1e-9)
+    for mode in ("pro-h", "pro-a"):
+        cfg = default_config(mode, "nlm", snr_db=10.0, max_iter=4, stop_tol=0.0)
+        est = unmix(noisy, em, cfg)[0].values
+        assert_allclose(unmix(noisy, swapped, cfg)[0].values, est[perm],
+                        rtol=0, atol=1e-9)
+
+
 def test_rho_schedule_exact():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
-    cfg = _identity_cfg("pro-a", rho0=0.7, alpha=1.1, max_iter=6)
+    cfg = _identity_cfg("pro-a", rho0=0.7, alpha=1.1, max_iter=6, stop_tol=0.0)
     _, state = unmix(noisy, em, cfg)
     expected = [0.7 * 1.1**k for k in range(state.iteration)]
     assert [r.rho for r in state.iterations] == expected  # bitwise, not approximately
@@ -72,13 +147,14 @@ def test_rho_schedule_exact():
 
 def test_constant_rho_at_alpha_one():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
-    _, state = unmix(noisy, em, _identity_cfg("pro-h", rho0=0.3, max_iter=5))
+    _, state = unmix(noisy, em, _identity_cfg("pro-h", rho0=0.3, max_iter=5, stop_tol=0.0))
+    assert state.iteration == 5
     assert {r.rho for r in state.iterations} == {0.3}
 
 
 def test_sigma_trace_follows_schedule():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
-    cfg = _identity_cfg("pro-a", rho0=2.0, lam=5e-4, alpha=1.2, max_iter=7)
+    cfg = _identity_cfg("pro-a", rho0=2.0, lam=5e-4, alpha=1.2, max_iter=7, stop_tol=0.0)
     _, state = unmix(noisy, em, cfg)
     sigmas = [r.sigma for r in state.iterations]
     expected = np.sqrt(cfg.lam / np.asarray([r.rho for r in state.iterations]))
@@ -86,7 +162,9 @@ def test_sigma_trace_follows_schedule():
     assert (np.diff(sigmas) <= 0).all()
 
 
-@pytest.mark.parametrize("mode,channels", [("pro-h", 16), ("pro-a", 3)])
+# both modes carry one channel per endmember; in pro-h these are the
+# coordinates of the spectra in an orthonormal basis of span(M)
+@pytest.mark.parametrize("mode,channels", [("pro-h", 3), ("pro-a", 3)])
 def test_split_variable_shapes(mode, channels):
     em, truth, clean, noisy = _scene()
     _, state = unmix(noisy, em, _identity_cfg(mode, max_iter=2))
@@ -108,6 +186,19 @@ def test_telemetry_lengths_and_stop_rule():
     assert len(state.a_step_seconds) == len(state.qp_unconverged) == n
 
 
+@pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
+def test_default_stop_rule_waits_for_the_prior(mode):
+    # the least-squares start already satisfies the data term, so the first
+    # recorded gap must measure the prior's pull, not the start against itself
+    em, truth, clean, noisy = _scene(snr_db=10.0)
+    cfg = default_config(mode, "nlm", snr_db=10.0, max_iter=3)
+    est, state = unmix(noisy, em, cfg)
+    assert cfg.stop_tol > 0.0
+    assert state.iteration == 3
+    assert state.iterations[0].primal_residual > cfg.stop_tol
+    assert rmse(fcls(em, noisy), est) > 1e-3
+
+
 def test_rmse_trace_needs_truth():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=3))
@@ -123,7 +214,6 @@ def test_same_seed_bitwise_reproducible():
         lam=1e-3,
         alpha=1.1,
         max_iter=3,
-        seed=11,
     )
     a1, s1 = unmix(noisy, em, cfg)
     a2, s2 = unmix(noisy, em, cfg)
@@ -141,7 +231,7 @@ def test_abundances_feasible_every_iteration():
 
     register_denoiser("probe-feasible", probe)
     em, truth, clean, noisy = _scene()
-    cfg = _identity_cfg("pro-a", max_iter=4)
+    cfg = _identity_cfg("pro-a", max_iter=4, stop_tol=0.0)
     cfg = PnpConfig(**{**cfg.__dict__, "denoiser": DenoiserSpec("probe-feasible")})
     unmix(noisy, em, cfg)
     # pro-a: the denoiser sees folded abundance-plus-dual planes, one per
@@ -196,10 +286,6 @@ def test_config_validation():
     for max_iter in (2.5, "3"):
         with pytest.raises(ValueError, match="max_iter"):
             PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=max_iter)
-    for seed in (-1, 1.5, "3"):
-        with pytest.raises(ValueError, match="seed"):
-            PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, seed=seed)
-    assert PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, seed=np.int64(7)).seed == 7
 
 
 def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
@@ -207,7 +293,9 @@ def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
     monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)
     em, truth, clean, noisy = _scene()
     with pytest.warns(UserWarning) as record:
-        est, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=5))
+        est, state = unmix(noisy, em, _identity_cfg(
+            "pro-a", denoiser=DenoiserSpec("gaussian"), rho0=1.0, max_iter=5
+        ))
     missed = sum(r.qp_unconverged for r in state.iterations)
     assert missed > 0
     assert len(record) == 1
@@ -216,9 +304,26 @@ def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
     assert_allclose(est.values.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
+def test_start_misses_are_counted_in_the_warning(monkeypatch):
+    # the identity prior leaves the least-squares start in place, so with
+    # one sweep per solve only the start misses, as many pixels as fcls
+    monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)
+    em, truth, clean, noisy = _scene()
+    with pytest.warns(UserWarning, match=r"^(\d+) of 64 pixels") as fcls_record:
+        fcls(em, noisy)
+    start_missed = int(str(fcls_record[0].message).split()[0])
+    assert start_missed > 0
+    with pytest.warns(UserWarning) as record:
+        _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=3, stop_tol=0.0))
+    assert sum(r.qp_unconverged for r in state.iterations) == 0
+    assert len(record) == 1
+    assert (f"0 pixel QP solves (summed over iterations) and {start_missed} "
+            "of the least-squares start") in str(record[0].message)
+
+
 def test_primal_residual_zero_at_consistency():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
-    ha = em.values @ truth.values
+    ha = _split_operator("pro-h", em.values) @ truth.values
     state = AdmmState(
         a=truth,
         z=PixelMatrix(ha, 4, 4),
@@ -232,33 +337,37 @@ def test_primal_residual_zero_at_consistency():
 
 def test_primal_residual_tiny_at_identity_fixed_point():
     # the do-nothing prior collapses the dual variable, so the final
-    # state's splitting gap is numerically zero even while the recorded
-    # per-iteration residuals (gap before each Z refresh) decay gradually
+    # state's splitting gap is numerically zero; the least-squares start
+    # is already its fixed point, so the recorded per-iteration residuals
+    # (gap before each Z refresh) start at rounding level and fall to zero
     em, truth, clean, noisy = _scene()
-    _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=6))
+    _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=6, stop_tol=0.0))
+    assert state.iteration == 6
     assert primal_residual(state) < 1e-10
     res = np.asarray([r.primal_residual for r in state.iterations])
+    assert res[0] < 1e-12
     assert res[-1] < res[0]
 
 
 def test_presets_cover_documented_rows():
-    assert PRESETS[("pro-h", "nlm", 5)] == (1.0, 3e-3)
-    assert PRESETS[("pro-h", "nlm", 20)] == (0.1, 2e-4)
-    assert PRESETS[("pro-a", "nlm", 5)] == (3.0, 3e-2)
-    assert PRESETS[("pro-a", "nlm", 30)] == (5.0, 1e-4)
+    assert PRESETS[("pro-h", "nlm", 5)] == (2.0, 1.2e-2)
+    assert PRESETS[("pro-h", "nlm", 20)] == (0.2, 8e-4)
+    assert PRESETS[("pro-h", "nlm", 30)] == (0.02, 4e-4)
+    assert PRESETS[("pro-a", "nlm", 5)] == (6.0, 6e-2)
+    assert PRESETS[("pro-a", "nlm", 30)] == (10.0, 2e-4)
 
 
 def test_default_config_resolution():
     cfg = default_config("pro-h", "nlm", snr_db=5.0)
-    assert (cfg.rho0, cfg.lam) == (1.0, 3e-3)
-    assert cfg.alpha == 1.1 and cfg.max_iter == 20
+    assert (cfg.rho0, cfg.lam) == (2.0, 1.2e-2)
+    assert cfg.alpha == 1.0 and cfg.max_iter == 20
     cfg = default_config("pro-a", "nlm", snr_db=10.0)
-    assert (cfg.rho0, cfg.lam) == (3.0, 2e-2)
-    assert cfg.alpha == 1.1
+    assert (cfg.rho0, cfg.lam) == (6.0, 4e-2)
+    assert cfg.alpha == 1.0
     # no table row: generic fallback, still overridable
-    cfg = default_config("pro-a", "tv", snr_db=20.0, lam=7e-4, seed=9)
+    cfg = default_config("pro-a", "tv", snr_db=20.0, lam=7e-4, alpha=1.1)
     assert cfg.denoiser.kind == "tv"
-    assert cfg.lam == 7e-4 and cfg.seed == 9
+    assert cfg.lam == 7e-4 and cfg.alpha == 1.1
 
 
 def test_default_config_infinite_snr_falls_back_nan_rejected():

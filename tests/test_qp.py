@@ -203,13 +203,15 @@ def test_fcls_batch_invariant_past_64_endmembers():
         assert_array_equal(alone[:, 0], batch[:, j])
 
 
-# Recorded before the free-set grouping moved from np.unique to a lexsort,
-# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.  The solver's arithmetic is
-# elementwise, so the digests hold wherever its inputs (the scene and M'M)
-# reproduce bit for bit; elsewhere the pin does not apply.
+# Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64: the fcls digest
+# before the free-set grouping moved from np.unique to a lexsort, the unmix
+# digest once the loop started from the least-squares fit at a fixed rho.
+# The solver's arithmetic is elementwise, so the digests hold wherever its
+# inputs (the scene and M'M) reproduce bit for bit; elsewhere the pin does
+# not apply.
 P16_INPUT_SHA = "8d23f4faed221c33c1cc7ce66ab39fa1ee5f55c486ee876df7bcec7e760e89bd"
 P16_FCLS_SHA = "5258c666970e80b05b0fb1181cedf0d2a7d619d09694493003983a8ae8cc49ba"
-P16_UNMIX_SHA = "33106fa6e801b649ce769aaa039b266beaf004769a2458cc160b800d20603478"
+P16_UNMIX_SHA = "b2660e84d7ad31be8271bb2a188b637296b6de60aa9836ac8c0bde6d8acc5cc3"
 
 
 def test_grouping_keeps_the_recorded_p16_bytes():
