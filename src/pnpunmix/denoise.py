@@ -7,10 +7,12 @@ that call is interchangeable.  Built-ins: ``identity`` (no prior),
 means with bandwidth h = h_scale * sigma), ``tv`` (rudin-osher-fatemi
 model with weight mu = sigma, solved by dual projected gradient).
 
-All built-ins filter each channel alone, in order on one thread, with
-replicate borders.  External denoisers (a learned prior, say) plug in
-through :func:`register_denoiser` with the signature ``fn(volume,
-sigma) -> volume``.
+Every built-in gives each channel what filtering that channel alone
+gives, with replicate borders, on one thread: ``nlm`` and ``gaussian``
+filter blocks of whole channels in one pass, ``tv`` goes band by band.
+External denoisers (a learned prior, say) plug in through
+:func:`register_denoiser` with the signature ``fn(volume, sigma) ->
+volume``.
 """
 
 from __future__ import annotations
@@ -95,26 +97,34 @@ class DenoiserSpec:
         return out
 
 
-def gaussian_filter(band: np.ndarray, sigma_spatial: float) -> np.ndarray:
-    """Separable Gaussian blur with replicate borders.
+def gaussian_filter(volume: np.ndarray, sigma_spatial: float) -> np.ndarray:
+    """Separable Gaussian blur of each (rows, cols) plane, replicate borders.
 
-    The 1D kernel is sampled on integer offsets, truncated at
-    ceil(3 * sigma_spatial) and renormalized to sum exactly 1, so constant
-    images pass through unchanged.
+    ``volume`` is one plane or a stack (..., rows, cols); one correlation
+    per spatial axis covers the whole stack, and each plane comes out
+    bit for bit as it would alone.  The 1D kernel is sampled on integer
+    offsets, truncated at ceil(3 * sigma_spatial) and renormalized to sum
+    exactly 1, so constant images pass through unchanged.
     """
     if sigma_spatial <= 0:
         raise ValueError(f"sigma_spatial must be positive, got {sigma_spatial}")
-    band = np.asarray(band, dtype=np.float64)
+    volume = np.asarray(volume, dtype=np.float64)
     radius = max(int(np.ceil(3.0 * sigma_spatial)), 1)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(x**2) / (2.0 * sigma_spatial**2))
     kernel /= kernel.sum()
-    out = ndimage.correlate1d(band, kernel, axis=0, mode="nearest")
-    return ndimage.correlate1d(out, kernel, axis=1, mode="nearest")
+    out = ndimage.correlate1d(volume, kernel, axis=-2, mode="nearest")
+    return ndimage.correlate1d(out, kernel, axis=-1, mode="nearest")
+
+
+# pixels per nlm block: whole channels are filtered together up to this
+# many, so the temporaries stay a few blocks in size on any volume, while
+# small volumes (pro-h's few coefficient images) pass in one block
+NLM_BLOCK_PIXELS = 1 << 16
 
 
 def nlm_filter(
-    band: np.ndarray,
+    volume: np.ndarray,
     sigma: float,
     patch_radius: int = 1,
     search_radius: int = 5,
@@ -126,30 +136,82 @@ def nlm_filter(
     exp(-ssd(i, j) / h^2), where ssd is the summed squared difference of
     the (2*patch_radius+1)^2 patches and h = h_scale * sigma.  Weights
     are normalized, so every output value is a convex combination of
-    window values.  Borders replicate.  sigma = 0 returns the input.
+    window values.  Borders replicate.  sigma = 0 returns a copy of the
+    input.
+
+    ``volume`` is one plane or a stack (..., rows, cols) of channels that
+    are filtered independently.  Whole channels go through the search
+    loop together, in blocks of up to NLM_BLOCK_PIXELS pixels (at least
+    one channel), which bounds the temporaries to a few blocks.
     """
-    band = np.asarray(band, dtype=np.float64)
+    volume = np.asarray(volume, dtype=np.float64)
     h2 = (h_scale * sigma) ** 2
     if h2 == 0.0:
-        return band.copy()
-    rows, cols = band.shape
-    size = 2 * patch_radius + 1
-    padded = np.pad(band, search_radius, mode="edge")
-    num = np.zeros_like(band)
-    den = np.zeros_like(band)
-    for dy in range(-search_radius, search_radius + 1):
-        for dx in range(-search_radius, search_radius + 1):
-            shifted = padded[
-                search_radius + dy : search_radius + dy + rows,
-                search_radius + dx : search_radius + dx + cols,
-            ]
-            ssd = ndimage.uniform_filter(
-                (band - shifted) ** 2, size=size, mode="nearest"
-            ) * (size * size)
-            w = np.exp(-ssd / h2)
-            num += w * shifted
-            den += w
-    return num / den
+        return volume.copy()
+    rows, cols = volume.shape[-2:]
+    planes = volume.reshape(-1, rows, cols)
+    out = np.empty_like(planes)
+    step = max(NLM_BLOCK_PIXELS // (rows * cols), 1)
+    for start in range(0, planes.shape[0], step):
+        out[start : start + step] = _nlm_block(
+            planes[start : start + step], h2, patch_radius, search_radius
+        )
+    return out.reshape(volume.shape)
+
+
+def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:
+    """nlm_filter on a (channels, rows, cols) block, one pass per offset.
+
+    Each channel is edge-padded by s rows and m = max(s, p) columns and
+    flattened, so with row pitch `pitch` a search offset (dy, dx) is the
+    flat shift dy * pitch + dx.  The per-offset work then runs on the
+    contiguous flat span from the first pixel to the last, whose
+    out-of-image columns hold finite values that are never read back.
+    """
+    n, rows, cols = block.shape
+    m = max(s, p)
+    pitch = cols + 2 * m
+    padded = np.pad(block, ((0, 0), (s, s), (m, m)), mode="edge").reshape(n, -1)
+    span = (rows - 1) * pitch + cols
+    pixels = padded[:, s * pitch + m : s * pitch + m + span]
+    # squared differences in rows p .. p + rows - 1, replicated p rows up
+    # and down and p columns left and right (zeroed, so that cells no
+    # offset writes stay finite); their sums over 2p + 1 rows; and the
+    # patch sums that become the weights
+    diff = np.zeros((n, rows + 2 * p, pitch))
+    flat_diff = diff.reshape(n, -1)
+    inner = flat_diff[:, p * pitch + m : p * pitch + m + span]
+    row_sum = np.empty((n, rows * pitch))
+    w = np.empty((n, span))
+    num = np.zeros((n, rows * pitch))
+    den = np.zeros((n, rows * pitch))
+    num_span = num[:, m : m + span]
+    den_span = den[:, m : m + span]
+    for dy in range(-s, s + 1):
+        for dx in range(-s, s + 1):
+            start = (s + dy) * pitch + m + dx
+            shifted = padded[:, start : start + span]
+            np.subtract(pixels, shifted, out=inner)
+            np.square(inner, out=inner)
+            diff[:, p : p + rows, m - p : m] = diff[:, p : p + rows, m : m + 1]
+            diff[:, p : p + rows, m + cols : m + cols + p] = (
+                diff[:, p : p + rows, m + cols - 1 : m + cols]
+            )
+            diff[:, :p] = diff[:, p : p + 1]
+            diff[:, p + rows :] = diff[:, p + rows - 1 : p + rows]
+            np.copyto(row_sum, flat_diff[:, : rows * pitch])
+            for i in range(1, 2 * p + 1):
+                row_sum += flat_diff[:, i * pitch : (i + rows) * pitch]
+            np.copyto(w, row_sum[:, m - p : m - p + span])
+            for j in range(1, 2 * p + 1):
+                w += row_sum[:, m - p + j : m - p + j + span]
+            np.divide(w, -h2, out=w)
+            np.exp(w, out=w)
+            den_span += w
+            w *= shifted
+            num_span += w
+    grid = (n, rows, pitch)
+    return num.reshape(grid)[:, :, m : m + cols] / den.reshape(grid)[:, :, m : m + cols]
 
 
 def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,21 +278,14 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     return best
 
 
-def _band_by_band(band_fn: Callable) -> Callable:
-    """A registry entry calling ``band_fn(band, sigma, **params)`` per band."""
-    return lambda volume, sigma, params: np.stack(
-        [band_fn(band, sigma, **params) for band in volume]
-    )
-
-
 # kind -> fn(volume array, sigma, resolved params) -> volume array
 _REGISTRY: dict[str, Callable] = {
     "identity": lambda volume, sigma, params: volume,
-    "gaussian": _band_by_band(
-        lambda band, sigma, sigma_spatial: gaussian_filter(band, sigma_spatial)
+    "gaussian": lambda volume, sigma, params: gaussian_filter(volume, **params),
+    "nlm": lambda volume, sigma, params: nlm_filter(volume, sigma, **params),
+    "tv": lambda volume, sigma, params: np.stack(
+        [tv_denoise(band, sigma, **params) for band in volume]
     ),
-    "nlm": _band_by_band(nlm_filter),
-    "tv": _band_by_band(tv_denoise),
 }
 
 

@@ -4,12 +4,20 @@ Oracles are independent of the implementation: the impulse response is
 checked against a kernel recomputed here from the truncation rule, the
 separable filter against scipy's reference implementation (same sampled
 Gaussian, same replicate borders at sigma = 1), NLM against window
-convexity bounds from rank filters, and TV against an energy functional
-evaluated by this file's own forward differences.
+convexity bounds from rank filters and against a band-by-band reference
+written here with scipy's box filter, and TV against an energy
+functional evaluated by this file's own forward differences.
 """
+
+import importlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import ndimage
 
@@ -26,6 +34,9 @@ from pnpunmix.denoise import (
     tv_denoise,
 )
 from pnpunmix.errors import ComputeError
+
+# the package re-exports the function ``denoise``, which hides the module
+denoise_module = importlib.import_module("pnpunmix.denoise")
 
 
 def _rof_energy(u, f, mu):
@@ -77,7 +88,76 @@ def test_gaussian_ramp_interior_unchanged():
     assert_allclose(out[:, r:-r], img[:, r:-r], rtol=0, atol=1e-10)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), lead=st.lists(st.integers(1, 3), max_size=2),
+       rows=st.integers(1, 12), cols=st.integers(1, 12),
+       sigma_spatial=st.floats(0.3, 4.0))
+def test_gaussian_volume_is_bitwise_per_band(data, lead, rows, cols, sigma_spatial):
+    volume = data.draw(arrays(np.float64, (*lead, rows, cols),
+                              elements=st.floats(-1e3, 1e3)))
+    out = gaussian_filter(volume, sigma_spatial)
+    planes = volume.reshape(-1, rows, cols)
+    want = np.stack([gaussian_filter(band, sigma_spatial) for band in planes])
+    assert_array_equal(out, want.reshape(volume.shape))
+
+
 # --------------------------------------------------------------------- nlm
+
+
+def _nlm_reference(band, sigma, patch_radius, search_radius, h_scale):
+    """Pixelwise non-local means on one band, one box filter per offset."""
+    h2 = (h_scale * sigma) ** 2
+    rows, cols = band.shape
+    size = 2 * patch_radius + 1
+    r = search_radius
+    padded = np.pad(band, r, mode="edge")
+    num = np.zeros_like(band)
+    den = np.zeros_like(band)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            shifted = padded[r + dy : r + dy + rows, r + dx : r + dx + cols]
+            ssd = ndimage.uniform_filter((band - shifted) ** 2, size=size,
+                                         mode="nearest") * (size * size)
+            w = np.exp(-ssd / h2)
+            num += w * shifted
+            den += w
+    return num / den
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), lead=st.lists(st.integers(1, 4), max_size=2),
+       rows=st.integers(1, 9), cols=st.integers(1, 9),
+       patch_radius=st.integers(0, 5), search_radius=st.integers(0, 6),
+       scale=st.sampled_from([1.0, 1e-3, 1e3]), rel_sigma=st.floats(0.02, 1.0),
+       block_planes=st.integers(1, 3))
+def test_nlm_volume_matches_band_reference(data, lead, rows, cols, patch_radius,
+                                           search_radius, scale, rel_sigma,
+                                           block_planes):
+    # radii up to 5 and 6 exceed most of these planes; a budget of one to
+    # three planes makes most volumes span several blocks
+    volume = scale * data.draw(arrays(np.float64, (*lead, rows, cols),
+                                      elements=st.floats(0.0, 1.0)))
+    sigma = rel_sigma * scale
+    with mock.patch.object(denoise_module, "NLM_BLOCK_PIXELS", block_planes * rows * cols):
+        out = nlm_filter(volume, sigma, patch_radius, search_radius, 2.0)
+    want = np.stack([_nlm_reference(band, sigma, patch_radius, search_radius, 2.0)
+                     for band in volume.reshape(-1, rows, cols)])
+    tol = 1e-12 * max(1.0, float(np.abs(volume).max()))
+    assert_allclose(out, want.reshape(volume.shape), rtol=0, atol=tol)
+
+
+def test_nlm_block_budget_bounds_memory():
+    # 24 planes of 128 x 128 span six blocks; one pass over the whole
+    # volume would hold about seven volumes of temporaries
+    volume = np.random.default_rng(13).uniform(size=(24, 128, 128))
+    assert 128 * 128 < denoise_module.NLM_BLOCK_PIXELS < volume.size
+    tracemalloc.start()
+    try:
+        nlm_filter(volume, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * volume.nbytes
 
 
 def test_nlm_constant_unchanged():
@@ -124,6 +204,10 @@ def test_nlm_zero_sigma_returns_input():
     rng = np.random.default_rng(4)
     img = rng.uniform(size=(10, 10))
     assert_array_equal(nlm_filter(img, 0.0), img)
+    for volume in (rng.uniform(size=(2, 3, 1, 7)), rng.uniform(size=(3, 9, 1))):
+        out = nlm_filter(volume, 0.0)
+        assert_array_equal(out, volume)
+        assert not np.shares_memory(out, volume)
 
 
 # ---------------------------------------------------------------------- tv
@@ -261,6 +345,20 @@ def test_denoise_band_permutation_equivariance():
     perm = np.array([3, 0, 5, 1, 4, 2])
     out_p = denoise(spec, HsiCube(cube.values[perm]), 0.2)
     assert_array_equal(out_p.values, out.values[perm])
+
+
+@pytest.mark.parametrize("spec, band_fn", [
+    (DenoiserSpec("gaussian", {"sigma_spatial": 1.2}),
+     lambda band, sigma: gaussian_filter(band, 1.2)),
+    (DenoiserSpec("nlm", {"patch_radius": 2, "search_radius": 3, "h_scale": 4.0}),
+     lambda band, sigma: nlm_filter(band, sigma, 2, 3, 4.0)),
+], ids=["gaussian", "nlm"])
+def test_volume_entry_gives_each_band_its_own_filtering(spec, band_fn):
+    # the registry hands the whole volume to one filter call
+    rng = np.random.default_rng(12)
+    cube = HsiCube(rng.uniform(size=(5, 37, 29)))
+    out = denoise(spec, cube, 0.05)
+    assert_array_equal(out.values, np.stack([band_fn(band, 0.05) for band in cube.values]))
 
 
 def test_register_custom_denoiser():

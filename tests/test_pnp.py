@@ -6,7 +6,12 @@ proximal-point iteration for the constrained least-squares objective, so
 with a small coupling weight the result must match fcls.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import pnpunmix
 from pnpunmix import qp
 from pnpunmix.cube import PixelMatrix, fold, unfold
 from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
@@ -323,7 +329,8 @@ def test_start_misses_are_counted_in_the_warning(monkeypatch):
 
 def test_primal_residual_zero_at_consistency():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
-    ha = _split_operator("pro-h", em.values) @ truth.values
+    # z = H a formed as the loop forms it, so the gap is exactly zero
+    ha = np.einsum("ij,jn->in", _split_operator("pro-h", em.values), truth.values)
     state = AdmmState(
         a=truth,
         z=PixelMatrix(ha, 4, 4),
@@ -347,6 +354,49 @@ def test_primal_residual_tiny_at_identity_fixed_point():
     res = np.asarray([r.primal_residual for r in state.iterations])
     assert res[0] < 1e-12
     assert res[-1] < res[0]
+
+
+@pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
+def test_primal_residual_is_the_last_record(mode):
+    # the function and the stop test compute the same gap the same way
+    em, truth, clean, noisy = _scene(rows=32, cols=32)
+    _, state = unmix(noisy, em, default_config(mode, "nlm", snr_db=25.0, max_iter=3,
+                                               stop_tol=0.0))
+    assert primal_residual(state) == state.iterations[-1].primal_residual
+
+
+# unmix a 64 x 64 scene, P = 4, three iterations each of pro-h nlm and
+# pro-a gaussian; print the estimate digest and every recorded residual
+_THREAD_PROBE = """
+import hashlib, json
+import pnpunmix
+scene = pnpunmix.make_scene(pnpunmix.SceneSpec(
+    rows=64, cols=64, endmembers=4, bands=32, snr_db=10.0, seed=0))
+observed = pnpunmix.unfold(scene.noisy)
+out = {}
+for mode, kind in (("pro-h", "nlm"), ("pro-a", "gaussian")):
+    cfg = pnpunmix.default_config(mode, kind, snr_db=10.0, max_iter=3, stop_tol=0.0)
+    est, state = pnpunmix.unmix(observed, scene.endmembers, cfg)
+    out[mode] = [hashlib.sha256(est.values.tobytes()).hexdigest(),
+                 [r.primal_residual.hex() for r in state.iterations]]
+print(json.dumps(out))
+"""
+
+
+def _thread_probe(**env) -> dict:
+    src = str(Path(pnpunmix.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env={**base, **env},
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    one = _thread_probe(OPENBLAS_NUM_THREADS="1")
+    default = _thread_probe()
+    assert one == default
+    assert len(one["pro-h"][1]) == len(one["pro-a"][1]) == 3
 
 
 def test_presets_cover_documented_rows():
