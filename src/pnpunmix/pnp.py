@@ -38,7 +38,7 @@ from .cube import PixelMatrix, fold, unfold
 from .denoise import DenoiserSpec, denoise
 from .errors import ComputeError, ShapeError
 from .metrics import rmse as _rmse
-from .model import AbundanceMatrix, EndmemberMatrix
+from .model import ASC_TOL, AbundanceMatrix, EndmemberMatrix
 from .qp import MODES, _solve_batch
 
 __all__ = [
@@ -63,8 +63,6 @@ PRESETS: dict[tuple[str, str, int], tuple[float, float]] = {
     ("pro-a", "nlm", 20): (10.0, 6e-4),
     ("pro-a", "nlm", 30): (10.0, 2e-4),
 }
-
-FEASIBILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +235,7 @@ def unmix(
         if not np.isfinite(a).all():
             raise ComputeError("a-step produced non-finite abundances")
         worst_sum = float(np.abs(a.sum(axis=0) - 1.0).max())
-        if worst_sum > FEASIBILITY_TOL or a.min() < 0.0:
+        if worst_sum > ASC_TOL or a.min() < 0.0:
             raise ComputeError(
                 f"a-step feasibility violated: sum deviation {worst_sum:.3e}, "
                 f"min entry {a.min():.3e}"

@@ -10,6 +10,14 @@ equality-constrained optimum comes from a bordered KKT system; a blocking
 ratio test pins variables that would go negative, and a multiplier check
 releases the most negative active constraint (lowest index on ties).
 
+Q and every f are first multiplied by the power of two nearest
+P / trace(Q).  That is exact, so the caller's problem is unchanged while
+QP_TOL, the LU pivot cutoff and FACE_SHIFT measure against the problem's
+own scale: data in any units takes the same sweeps, and data scaled by a
+power of two gives the same bytes.  A singular face (rank-deficient Q) is
+retried once with FACE_SHIFT on its diagonal block, which is then
+positive definite for a PSD Q, so the retry always solves.
+
 Each sweep groups the open pixels by free-set pattern with one stable
 lexsort of their P free flags (any P; ascending pixels within a group) and
 factors once per pattern.  Substitution is elementwise across columns and
@@ -22,6 +30,7 @@ residuals are computed only for single-pixel solves (solve_simplex_qp).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,12 +43,15 @@ from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
 __all__ = ["QpProblem", "QpSolution", "solve_simplex_qp", "fcls"]
 
 MODES = ("pro-h", "pro-a")
+# QpProblem's asymmetry and eigenvalue limits, relative to max|q|
 SYM_TOL = 1e-10
 EIG_TOL = -1e-10
-# KKT residual target and active-set sweep budget of every solve; fixed
-# settings of the exact A-step, read at call time
+# KKT residual target and active-set sweep budget of every solve, and the
+# diagonal shift of a singular face; fixed settings of the exact A-step,
+# the first and last in units of the normalised problem, read at call time
 QP_TOL = 1e-9
 QP_MAX_SWEEPS = 200
+FACE_SHIFT = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +59,8 @@ class QpProblem:
     """One pixel's QP data: symmetric PSD matrix q and linear term f.
 
     Construction symmetrizes q after checking the asymmetry is within
-    1e-10 and rejects matrices with an eigenvalue below -1e-10.
+    1e-10 * max|q| and rejects matrices with an eigenvalue below
+    -1e-10 * max|q|, so the checks accept q and c * q alike.
     """
 
     q: np.ndarray
@@ -65,13 +78,14 @@ class QpProblem:
             raise ShapeError(f"f must have shape ({p},), got {f.shape}")
         if not (np.isfinite(q).all() and np.isfinite(f).all()):
             raise ValueError("q and f must be finite")
-        if np.abs(q - q.T).max() > SYM_TOL:
-            raise ValueError(f"q must be symmetric within {SYM_TOL:g}")
+        qmax = float(np.abs(q).max())
+        if np.abs(q - q.T).max() > SYM_TOL * qmax:
+            raise ValueError(f"q must be symmetric within {SYM_TOL:g} * max|q|")
         q = (q + q.T) / 2.0
-        if np.linalg.eigvalsh(q)[0] < EIG_TOL:
+        if np.linalg.eigvalsh(q)[0] < EIG_TOL * qmax:
             raise ValueError(
                 "q must be positive semidefinite "
-                f"(eigenvalue below {EIG_TOL:g} found)"
+                f"(eigenvalue below {EIG_TOL:g} * max|q| found)"
             )
         q.setflags(write=False)
         f.setflags(write=False)
@@ -90,9 +104,9 @@ class QpSolution:
     ``kkt_residual`` is recomputed from scratch at the returned point:
     the max of the stationarity defect on the positive support and the
     multiplier violation on the zero set.  ``shifted`` notes that a
-    Tikhonov-regularized system had to be used.  ``objective_trace``
-    holds the objective after each active-set sweep, starting value
-    included; it is non-increasing.
+    singular face was solved with FACE_SHIFT on its diagonal.
+    ``objective_trace`` holds the objective after each active-set sweep,
+    starting value included; it is non-increasing.
     """
 
     a: np.ndarray
@@ -151,56 +165,25 @@ def _kkt_residuals(q: np.ndarray, fs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.maximum(stat, np.maximum(dual, 0.0))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, v.size + 1)
-    r = int(np.nonzero(u - css / j > 0.0)[0][-1]) + 1
-    return np.maximum(v - css[r - 1] / r, 0.0)
-
-
-def _pg_fallback(
-    q: np.ndarray, f: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, int, bool]:
-    """Monotone projected gradient for pixels whose KKT systems stay singular."""
-    lip = float(np.linalg.eigvalsh(q)[-1])
-    step = 1.0 / max(lip, 1e-12)
-    obj = 0.5 * a @ q @ a + f @ a
-    for it in range(1, QP_MAX_SWEEPS + 1):
-        g = q @ a + f
-        t = step
-        cand = a
-        for _ in range(60):
-            cand = _project_simplex(a - t * g)
-            cobj = 0.5 * cand @ q @ cand + f @ cand
-            if cobj <= obj + 1e-15 * (1.0 + abs(obj)):
-                break
-            t *= 0.5
-        moved = not np.array_equal(cand, a)
-        a, obj = cand, cobj
-        if float(_kkt_residuals(q, f[:, None], a[:, None])[0]) <= QP_TOL:
-            return a, it, True
-        if not moved:
-            return a, it, False
-    return a, QP_MAX_SWEEPS, False
-
-
 def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = False):
     """Active-set solve of min a'Qa/2 + f'a on the simplex, one f per column.
 
-    Returns (a, iterations, converged, shifted, trace_list).
+    Returns (a, iterations, converged, shifted, trace_list in caller units).
     All intermediate iterates are feasible; a is returned even for columns
     that hit the QP_MAX_SWEEPS budget, flagged in `converged`.
     """
     p, n = fs.shape
+    tr = float(np.trace(q))
+    scale = 2.0 ** -round(math.log2(tr / p)) if tr > 0.0 else 1.0
+    q = q * scale
+    fs = fs * scale
     a = np.array(a0, dtype=np.float64)
     free = a > 0.0
     done = np.full(n, p == 1)  # one endmember: a0 = 1 is the only feasible point
     converged = done.copy()
     iters = np.zeros(n, dtype=np.int64)
     shifted = np.zeros(n, dtype=bool)
-    delta = 1e-10 * float(np.trace(q)) / p
-    trace_vals = [float(_objective_cols(q, fs, a)[0])] if trace else None
+    trace_vals = [float(_objective_cols(q, fs, a)[0]) / scale] if trace else None
 
     for _ in range(QP_MAX_SWEEPS):
         todo = np.flatnonzero(~done)
@@ -225,18 +208,8 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
                 sol = _lu_solve_cols(kmat, rhs)
             except np.linalg.LinAlgError:
                 shifted[px] = True
-                kshift = kmat.copy()
-                kshift[:nf, :nf] += delta * np.eye(nf)
-                try:
-                    sol = _lu_solve_cols(kshift, rhs)
-                except np.linalg.LinAlgError:
-                    for j in px:
-                        aj, itj, okj = _pg_fallback(q, fs[:, j], a[:, j])
-                        a[:, j] = aj
-                        iters[j] += itj
-                        done[j] = True
-                        converged[j] = okj
-                    continue
+                kmat[:nf, :nf] += FACE_SHIFT * np.eye(nf)
+                sol = _lu_solve_cols(kmat, rhs)
             x = sol[:nf]
             nu = sol[nf]
             feas = x.min(axis=0) >= -ANC_CLAMP
@@ -275,7 +248,7 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
                 a[np.ix_(fi, ipx)] = anew
                 free[fi[block], ipx] = False
         if trace:
-            trace_vals.append(float(_objective_cols(q, fs, a)[0]))
+            trace_vals.append(float(_objective_cols(q, fs, a)[0]) / scale)
 
     return a, iters, converged, shifted, trace_vals
 
@@ -285,6 +258,9 @@ def solve_simplex_qp(
 ) -> QpSolution:
     """Solve one pixel's simplex QP to the KKT tolerance QP_TOL.
 
+    QP_TOL applies to the power-of-two-normalised problem (trace(Q)/P
+    within a factor of sqrt(2) of 1), not to the data's units; the
+    returned kkt_residual and objective_trace are in the caller's units.
     Hitting the QP_MAX_SWEEPS budget returns the last (always feasible)
     iterate with converged=False.
 
@@ -338,10 +314,9 @@ def fcls(endmembers: EndmemberMatrix, observed: PixelMatrix) -> AbundanceMatrix:
             stacklevel=2,
         )
     m = endmembers.values
-    problem = QpProblem(m.T @ m, np.zeros(endmembers.count))
     fs = -np.einsum("li,ln->in", m, observed.values)
     a0 = np.full(fs.shape, 1.0 / endmembers.count)
-    a, _, conv, _, _ = _solve_batch(problem.q, fs, a0)
+    a, _, conv, _, _ = _solve_batch(m.T @ m, fs, a0)
     bad = int((~conv).sum())
     if bad:
         warnings.warn(

@@ -12,6 +12,7 @@ Hand-worked oracles (derived before the solver was written):
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def test_permutation_equivariance():
 
 
 def test_zero_curvature_picks_cheapest_vertex():
-    # Q = 0 turns the QP into a linear program; the solver's gradient
-    # fallback must land on the vertex with the smallest cost
+    # Q = 0 turns the QP into a linear program; the shifted retry on each
+    # singular face must land on the vertex with the smallest cost
     sol = solve_simplex_qp(QpProblem(np.zeros((3, 3)), np.array([0.3, 0.1, 0.5])))
     assert_allclose(sol.a, [0.0, 1.0, 0.0], rtol=0, atol=1e-12)
     assert sol.converged
@@ -141,6 +142,35 @@ def test_problem_validation():
         QpProblem(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         QpProblem(np.eye(2), np.array([np.nan, 0.0]))
+
+
+def test_problem_validation_is_scale_free():
+    # the zero eigenvalues of a rank-deficient b'b come out at about
+    # +-1e-16 max|q|, so the checks must not read them in absolute units
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        b = rng.uniform(size=(3, 6))
+        f = rng.standard_normal(6)
+        ref = solve_simplex_qp(QpProblem(b.T @ b, f))
+        for c in (1e-6, 1e3, 1e6):
+            sol = solve_simplex_qp(QpProblem(c * (b.T @ b), c * f))
+            assert_allclose(sol.a, ref.a, rtol=0, atol=1e-9)
+    for c in (1e-6, 1e6):
+        with pytest.raises(ValueError, match="symmetric"):
+            QpProblem(c * np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="definite"):
+            QpProblem(c * np.array([[-1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+
+
+def test_objective_trace_is_in_the_callers_units():
+    # trace(q)/P near 1e6: the solver works on q / 2^20 and must report
+    # the objective of the problem it was given
+    rng = np.random.default_rng(31)
+    b = rng.uniform(size=(3, 6))
+    problem = QpProblem(1e6 * (b.T @ b), 1e3 * rng.standard_normal(6))
+    sol = solve_simplex_qp(problem)
+    assert sol.converged
+    assert_allclose(sol.objective_trace[-1], _objective(problem, sol.a), rtol=1e-12)
 
 
 def test_fcls_recovers_noiseless_mixture():
@@ -192,6 +222,51 @@ def test_fcls_is_batch_invariant(count, pixels, seed, data):
         assert_array_equal(alone[:, 0], batch[:, j])
 
 
+def _fcls_scaled(m, y, c):
+    # scaled endmembers leave [0, 1] and too few bands warn as usual; any
+    # other warning, a QP tolerance miss included, fails the caller
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = fcls(EndmemberMatrix(c * m), PixelMatrix(c * y, 1, y.shape[1]))
+    expected = ("endmember values fall outside [0, 1]", "fewer bands than endmembers")
+    for w in caught:
+        assert str(w.message).startswith(expected), str(w.message)
+    return est.values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 10),
+    extra=st.integers(-3, 7),
+    pixels=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-20, 20),
+    log_c=st.floats(-6.0, 6.0),
+)
+def test_fcls_is_scale_free(count, extra, pixels, seed, k, log_c):
+    # the solver normalises Q by a power of two, so scaling the data by one
+    # gives the same bytes, and by any other factor the same answer where
+    # it is unique
+    bands = max(1, count + extra)
+    em, y = _noisy_mixtures(np.random.default_rng(seed), bands, count, pixels)
+    base = _fcls_scaled(em.values, y, 1.0)
+    assert_array_equal(_fcls_scaled(em.values, y, 2.0**k), base)
+    other = _fcls_scaled(em.values, y, 10.0**log_c)
+    if bands >= count:
+        assert_allclose(other, base, rtol=0, atol=1e-9)
+
+
+def test_rank_deficient_fcls_is_scale_free():
+    # four bands, six endmembers: every face with more than four free
+    # variables is singular and takes the one shifted retry, whose shift
+    # is in normalised units.  The abundances are not unique here (they
+    # move by ~5e-6 at 1e-3); the fitted spectra M a are
+    em, y = _noisy_mixtures(np.random.default_rng(30), 4, 6, 1024)
+    m = em.values
+    base = m @ _fcls_scaled(m, y, 1.0)
+    assert_allclose(m @ _fcls_scaled(m, y, 1e-3), base, rtol=0, atol=1e-9)
+
+
 def test_fcls_batch_invariant_past_64_endmembers():
     # 70 free flags per pixel: grouping must not rely on a 64-bit key
     rng = np.random.default_rng(23)
@@ -203,15 +278,12 @@ def test_fcls_batch_invariant_past_64_endmembers():
         assert_array_equal(alone[:, 0], batch[:, j])
 
 
-# Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64: the fcls digest
-# before the free-set grouping moved from np.unique to a lexsort, the unmix
-# digest once the loop started from the least-squares fit at a fixed rho.
-# The solver's arithmetic is elementwise, so the digests hold wherever its
-# inputs (the scene and M'M) reproduce bit for bit; elsewhere the pin does
-# not apply.
+# Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.  The solver's
+# arithmetic is elementwise, so the digests hold wherever its inputs (the
+# scene and M'M) reproduce bit for bit; elsewhere the pin does not apply.
 P16_INPUT_SHA = "8d23f4faed221c33c1cc7ce66ab39fa1ee5f55c486ee876df7bcec7e760e89bd"
-P16_FCLS_SHA = "5258c666970e80b05b0fb1181cedf0d2a7d619d09694493003983a8ae8cc49ba"
-P16_UNMIX_SHA = "b2660e84d7ad31be8271bb2a188b637296b6de60aa9836ac8c0bde6d8acc5cc3"
+P16_FCLS_SHA = "0794d409527ef98b9969a99fa5c4fae7aaf355bb3d6bfa92817878a69e0b879c"
+P16_UNMIX_SHA = "e268eba5764235c94a7cda25a1cf57849755a413071c73fbce8fc3a0b39fb2d9"
 
 
 def test_grouping_keeps_the_recorded_p16_bytes():
