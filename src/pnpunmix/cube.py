@@ -10,6 +10,12 @@ The column ordering is fixed once and used everywhere, including the binary
 cube file format: pixel ``n = col * rows + row``, i.e. pixels walk down each
 spatial column before moving to the next one.  Both reshapes are pure
 relabelings, so a round trip reproduces the input bit for bit.
+
+Both containers hold a read-only C-ordered float64 array.  An input that
+already is one and owns its data is adopted as-is, without a copy (the
+library marks the arrays it makes for a container read-only, so they
+exist once); any other input, a writeable array or a view included, is
+copied.  Every input is checked for NaN and Inf.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ __all__ = ["HsiCube", "PixelMatrix", "fold", "unfold"]
 
 
 def _as_readonly_f64(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
+    """The container's array: ``values`` adopted or copied, then checked."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.c_contiguous and values.flags.owndata
+            and not values.flags.writeable):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -37,7 +49,9 @@ def _as_readonly_f64(values, name: str, ndim: int) -> np.ndarray:
 class HsiCube:
     """Hyperspectral image cube, shape (bands, rows, cols).
 
-    Values are copied to a read-only float64 array; NaN/Inf are rejected.
+    Values are held as a read-only float64 array: a read-only, C-ordered
+    float64 input that owns its data is adopted without a copy, anything
+    else is copied.  NaN/Inf are rejected.
     """
 
     values: np.ndarray
@@ -61,6 +75,8 @@ class HsiCube:
 @dataclass(frozen=True, eq=False)
 class PixelMatrix:
     """Per-pixel data matrix, shape (channels, pixels), one column per pixel.
+
+    Values are adopted or copied as in :class:`HsiCube`.
 
     Args:
         values: (channels, pixels) array, any finite reals.

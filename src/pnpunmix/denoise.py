@@ -5,11 +5,13 @@ iteration's noise level sigma = sqrt(lambda / rho_k); everything behind
 that call is interchangeable.  Built-ins: ``identity`` (no prior),
 ``gaussian`` (separable blur, fixed spatial width), ``nlm`` (non-local
 means with bandwidth h = h_scale * sigma), ``tv`` (rudin-osher-fatemi
-model with weight mu = sigma, solved by dual projected gradient).
+model with weight mu = sigma, solved by dual projected gradient).  All
+are plain numpy; the module imports no scipy.
 
 Every built-in gives each channel what filtering that channel alone
 gives, with replicate borders, on one thread: ``nlm`` and ``gaussian``
-filter blocks of whole channels in one pass, ``tv`` goes band by band.
+filter blocks of whole channels (up to BLOCK_PIXELS pixels) in one
+pass, ``tv`` goes band by band.
 External denoisers (a learned prior, say) plug in through
 :func:`register_denoiser` with the signature ``fn(volume, sigma) ->
 volume``.
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import ndimage
 
 from .cube import HsiCube
 from .errors import ComputeError
@@ -97,14 +98,39 @@ class DenoiserSpec:
         return out
 
 
+# pixels per block: ``gaussian`` and ``nlm`` filter whole channels
+# together up to this many, so their temporaries stay a few blocks in size
+# on any volume, while small volumes (pro-h's few coefficient images) pass
+# in one block
+BLOCK_PIXELS = 1 << 16
+
+
+def _by_blocks(volume: np.ndarray, filter_block: Callable) -> np.ndarray:
+    """filter_block on (channels, rows, cols) blocks of whole channels.
+
+    ``volume`` is one plane or a stack (..., rows, cols); a block holds up
+    to BLOCK_PIXELS pixels, and at least one channel.
+    """
+    rows, cols = volume.shape[-2:]
+    planes = volume.reshape(-1, rows, cols)
+    out = np.empty_like(planes)
+    step = max(BLOCK_PIXELS // (rows * cols), 1)
+    for start in range(0, planes.shape[0], step):
+        out[start : start + step] = filter_block(planes[start : start + step])
+    return out.reshape(volume.shape)
+
+
 def gaussian_filter(volume: np.ndarray, sigma_spatial: float) -> np.ndarray:
     """Separable Gaussian blur of each (rows, cols) plane, replicate borders.
 
-    ``volume`` is one plane or a stack (..., rows, cols); one correlation
-    per spatial axis covers the whole stack, and each plane comes out
-    bit for bit as it would alone.  The 1D kernel is sampled on integer
-    offsets, truncated at ceil(3 * sigma_spatial) and renormalized to sum
-    exactly 1, so constant images pass through unchanged.
+    ``volume`` is one plane or a stack (..., rows, cols), filtered in
+    blocks of whole channels, so each plane comes out bit for bit as it
+    would alone.  The 1D kernel is sampled on integer offsets, truncated
+    at ceil(3 * sigma_spatial) and renormalized to sum exactly 1, so
+    constant images pass through unchanged.  Rows are filtered first,
+    then columns, with scipy.ndimage.correlate1d's arithmetic for a
+    symmetric kernel (mode "nearest"), so the output matches it bit for
+    bit.
     """
     if sigma_spatial <= 0:
         raise ValueError(f"sigma_spatial must be positive, got {sigma_spatial}")
@@ -113,14 +139,34 @@ def gaussian_filter(volume: np.ndarray, sigma_spatial: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(x**2) / (2.0 * sigma_spatial**2))
     kernel /= kernel.sum()
-    out = ndimage.correlate1d(volume, kernel, axis=-2, mode="nearest")
-    return ndimage.correlate1d(out, kernel, axis=-1, mode="nearest")
+    return _by_blocks(volume, lambda block: _correlate_symmetric(
+        _correlate_symmetric(block, kernel, 1), kernel, 2))
 
 
-# pixels per nlm block: whole channels are filtered together up to this
-# many, so the temporaries stay a few blocks in size on any volume, while
-# small volumes (pro-h's few coefficient images) pass in one block
-NLM_BLOCK_PIXELS = 1 << 16
+def _correlate_symmetric(
+    block: np.ndarray, kernel: np.ndarray, axis: int
+) -> np.ndarray:
+    """Correlate one axis with a symmetric odd kernel, edge-replicated.
+
+    out = x * w_0, then out += (x_-j + x_+j) * w_j from the outermost tap
+    j = r inward: the order and grouping of correlate1d's symmetric loop.
+    """
+    r = kernel.size // 2
+    n = block.shape[axis]
+    pad = [(0, 0)] * block.ndim
+    pad[axis] = (r, r)
+    padded = np.pad(block, pad, mode="edge")
+
+    def shifted(j: int) -> np.ndarray:
+        return padded[(slice(None),) * axis + (slice(r + j, r + j + n),)]
+
+    out = block * kernel[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(shifted(-j), shifted(j), out=pair)
+        pair *= kernel[r - j]
+        out += pair
+    return out
 
 
 def nlm_filter(
@@ -141,22 +187,15 @@ def nlm_filter(
 
     ``volume`` is one plane or a stack (..., rows, cols) of channels that
     are filtered independently.  Whole channels go through the search
-    loop together, in blocks of up to NLM_BLOCK_PIXELS pixels (at least
-    one channel), which bounds the temporaries to a few blocks.
+    loop together, in blocks of up to BLOCK_PIXELS pixels (at least one
+    channel), which bounds the temporaries to a few blocks.
     """
     volume = np.asarray(volume, dtype=np.float64)
     h2 = (h_scale * sigma) ** 2
     if h2 == 0.0:
         return volume.copy()
-    rows, cols = volume.shape[-2:]
-    planes = volume.reshape(-1, rows, cols)
-    out = np.empty_like(planes)
-    step = max(NLM_BLOCK_PIXELS // (rows * cols), 1)
-    for start in range(0, planes.shape[0], step):
-        out[start : start + step] = _nlm_block(
-            planes[start : start + step], h2, patch_radius, search_radius
-        )
-    return out.reshape(volume.shape)
+    return _by_blocks(volume, lambda block: _nlm_block(
+        block, h2, patch_radius, search_radius))
 
 
 def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:

@@ -40,6 +40,8 @@ __all__ = [
 
 # sum-to-one slack after float32 quantization of the stored fractions
 STORED_ASC_TOL = 1e-5
+# float32 values per read of a cube payload (4 MiB)
+READ_CHUNK_VALUES = 1 << 20
 
 _HEADER_KEYS = ("channels", "rows", "cols", "dtype", "layout", "endianness")
 _DTYPE_TAG = "float32"
@@ -54,7 +56,7 @@ def _sidecar(path: Path) -> Path:
 def _write_pixels(path, matrix) -> None:
     """Write a (channels, pixels) container as float32 payload plus ``.hdr``."""
     path = Path(path)
-    payload = matrix.values.astype("<f4").tobytes(order="C")
+    payload = np.ascontiguousarray(matrix.values, dtype="<f4")
     lines = [
         f"channels = {matrix.values.shape[0]}",
         f"rows = {matrix.spatial_rows}",
@@ -104,19 +106,32 @@ def _parse_sidecar(path: Path) -> tuple[int, int, int]:
 
 
 def _read_pixels(path, container=PixelMatrix):
-    """The (channels, pixels) matrix a payload stores; exact length enforced."""
+    """The (channels, pixels) matrix a payload stores; exact length enforced.
+
+    The length is checked against the header before anything is read; the
+    float32 payload then goes in READ_CHUNK_VALUES pieces straight into the
+    float64 matrix, which the container adopts without a copy.
+    """
     path = Path(path)
     channels, rows, cols = _parse_sidecar(path)
     if not path.is_file():
         raise FileFormatError(f"{path}: payload file missing")
-    data = path.read_bytes()
     expected = channels * rows * cols * 4
-    if len(data) != expected:
+    size = path.stat().st_size
+    if size != expected:
         raise FileFormatError(
-            f"{path}: payload is {len(data)} bytes, header implies {expected}"
+            f"{path}: payload is {size} bytes, header implies {expected}"
         )
-    # the container's own copy is the one float32 -> float64 conversion
-    values = np.frombuffer(data, dtype="<f4").reshape(channels, rows * cols)
+    values = np.empty((channels, rows * cols))
+    flat = values.reshape(-1)
+    chunk = np.empty(min(READ_CHUNK_VALUES, flat.size), dtype="<f4")
+    with open(path, "rb") as handle:
+        for start in range(0, flat.size, chunk.size):
+            part = chunk[: flat.size - start]
+            if handle.readinto(part) != part.nbytes:
+                raise FileFormatError(f"{path}: payload shrank while being read")
+            flat[start : start + part.size] = part
+    values.setflags(write=False)
     try:
         return container(values, rows, cols)
     except ValueError as exc:

@@ -27,19 +27,30 @@ def rmse(truth: AbundanceMatrix, estimate: AbundanceMatrix) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
-def _psnr_parts(
-    estimate: PixelMatrix, reference: PixelMatrix
-) -> tuple[float, float, float]:
-    """(peak, mse, psnr in dB) from one pass over both matrices."""
-    if estimate.values.shape != reference.values.shape:
+def _squared_error(
+    a: PixelMatrix, b: PixelMatrix, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(a - b)**2, elementwise; formed in ``out`` when given, else fresh."""
+    if a.values.shape != b.values.shape:
         raise ShapeError(
-            f"pixel matrix shapes differ: {estimate.values.shape} vs "
-            f"{reference.values.shape}"
+            f"pixel matrix shapes differ: {a.values.shape} vs {b.values.shape}"
         )
+    out = np.subtract(a.values, b.values, out=out)
+    return np.square(out, out=out)
+
+
+def _psnr_parts(
+    estimate: PixelMatrix, reference: PixelMatrix, out: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """(peak, mse, psnr in dB) from one pass over both matrices.
+
+    ``out``, if given, is a float64 scratch array of the matrices' shape.
+    """
+    sq = _squared_error(estimate, reference, out)
     peak = float(estimate.values.max())
     # squared error summed over everything, divided by the pixel count only
     # (per-pixel spectral error is summed, not averaged, over channels)
-    mse = float(np.sum((estimate.values - reference.values) ** 2) / estimate.pixels)
+    mse = float(np.sum(sq) / estimate.pixels)
     if mse == 0.0:
         return peak, mse, math.inf
     if peak <= 0.0:
@@ -57,15 +68,15 @@ def psnr(estimate: PixelMatrix, reference: PixelMatrix) -> float:
     return _psnr_parts(estimate, reference)[2]
 
 
-def reconstruction_error(observed: PixelMatrix, reconstruction: PixelMatrix) -> float:
-    """Root mean square spectral residual between observation and model fit."""
-    if observed.values.shape != reconstruction.values.shape:
-        raise ShapeError(
-            f"pixel matrix shapes differ: {observed.values.shape} vs "
-            f"{reconstruction.values.shape}"
-        )
-    diff = reconstruction.values - observed.values
-    return float(np.sqrt(np.mean(diff**2)))
+def reconstruction_error(
+    observed: PixelMatrix, reconstruction: PixelMatrix, *, out: np.ndarray | None = None
+) -> float:
+    """Root mean square spectral residual between observation and model fit.
+
+    ``out``, if given, is a float64 scratch array of the matrices' shape
+    that receives the squared residuals instead of a fresh array.
+    """
+    return float(np.sqrt(np.mean(_squared_error(observed, reconstruction, out))))
 
 
 @dataclass(frozen=True)
@@ -113,11 +124,13 @@ def evaluate(
     """
     if reconstruction is None:
         reconstruction = mix(endmembers, estimate)
-    re = reconstruction_error(observed, reconstruction)
+    # one (bands, pixels) scratch array for both squared-error sums
+    scratch = np.empty(observed.values.shape)
+    re = reconstruction_error(observed, reconstruction, out=scratch)
     r = rmse(truth, estimate) if truth is not None else None
     p = peak = pmse = None
     if clean is not None:
-        peak, pmse, p = _psnr_parts(reconstruction, clean)
+        peak, pmse, p = _psnr_parts(reconstruction, clean, scratch)
     return MetricsReport(
         reconstruction_error=re,
         rmse=r,

@@ -129,7 +129,7 @@ def mix(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix
 
     Returns:
         PixelMatrix of shape (bands, pixels) carrying the abundance grid's
-        spatial dimensions.
+        spatial dimensions; its array is the product itself, not a copy.
     """
     if endmembers.count != abundances.endmembers:
         raise ShapeError(
@@ -137,6 +137,8 @@ def mix(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix
             f"{abundances.endmembers} abundance rows"
         )
     y = endmembers.values @ abundances.values
+    # read-only, so the container adopts the product instead of copying it
+    y.setflags(write=False)
     return PixelMatrix(y, abundances.spatial_rows, abundances.spatial_cols)
 
 

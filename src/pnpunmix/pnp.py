@@ -121,6 +121,8 @@ class IterationRecord:
     a_step_seconds: float
     z_step_seconds: float
     qp_unconverged: int  # pixels whose QP missed the inner tolerance
+    qp_sweeps_max: int  # active-set sweeps of the slowest pixel's QP
+    qp_shifted: int  # pixels whose QP met a singular face (FACE_SHIFT used)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +232,7 @@ def unmix(
         tic = time.perf_counter()
         q = mtm + rho_k * hth
         fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
-        a, _, conv, _, _ = _solve_batch(q, fs, a)
+        a, sweeps, conv, shifted, _ = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
         if not np.isfinite(a).all():
             raise ComputeError("a-step produced non-finite abundances")
@@ -250,6 +252,8 @@ def unmix(
             a_step_seconds=a_seconds,
             z_step_seconds=z_seconds,
             qp_unconverged=int((~conv).sum()),
+            qp_sweeps_max=int(sweeps.max()),
+            qp_shifted=int(shifted.sum()),
         ))
         if residual < cfg.stop_tol:
             break

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .cube import HsiCube, fold
 from .errors import ComputeError
@@ -111,6 +110,9 @@ def _field_children(spec: SceneSpec) -> list[np.random.SeedSequence]:
 
 
 def _smooth_field(rng: np.random.Generator, rows: int, cols: int, sigma: float):
+    # imported here, so that importing the package loads no scipy
+    from scipy.ndimage import gaussian_filter
+
     white = rng.standard_normal((rows, cols))
     field = gaussian_filter(white, sigma=sigma, mode="reflect")
     # smoothing shrinks the variance; restandardize so the softmax sees

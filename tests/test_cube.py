@@ -1,8 +1,11 @@
-"""Layout tests for the cube <-> pixel-matrix reshapes.
+"""Layout tests for the cube <-> pixel-matrix reshapes, and the copy contract
+of the containers.
 
 The 2x2x2 expected matrix below was worked out by hand from the pixel
 ordering contract n = col*rows + row before the reshape code existed.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from numpy.testing import assert_array_equal
 
 from pnpunmix.cube import HsiCube, PixelMatrix, fold, unfold
 from pnpunmix.errors import ShapeError
+from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, mix
 
 
 def test_unfold_hand_case():
@@ -71,13 +75,61 @@ def test_shape_validation():
         PixelMatrix(np.ones(4), 2, 2)
 
 
+def _readonly(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_writeable_input_is_copied():
+    data = np.ones((2, 2, 2))
+    cube = HsiCube(data)
+    data[0, 0, 0] = 5.0
+    assert cube.values[0, 0, 0] == 1.0
+    assert not np.shares_memory(cube.values, data)
+
+
+def test_read_only_view_is_copied():
+    base = np.arange(12.0).reshape(3, 4)
+    view = base[:2]
+    view.setflags(write=False)
+    mat = PixelMatrix(view, 2, 2)
+    base[0, 0] = -1.0
+    assert mat.values[0, 0] == 0.0
+    assert not np.shares_memory(mat.values, base)
+
+
+def test_read_only_owned_float64_is_adopted():
+    data = _readonly(np.arange(8.0).reshape(2, 4).copy())
+    assert PixelMatrix(data, 2, 2).values is data
+    cube_data = _readonly(np.zeros((2, 3, 4)))
+    assert np.shares_memory(HsiCube(cube_data).values, cube_data)
+
+
 def test_non_finite_rejected():
-    bad = np.ones((1, 2, 2))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        HsiCube(bad)
-    with pytest.raises(ValueError, match="finite"):
-        PixelMatrix(np.array([[np.inf, 0.0]]), 1, 2)
+    # on every construction path: copied, adopted, read-only view, converted
+    paths = (lambda a: a, _readonly, lambda a: _readonly(a)[:1],
+             lambda a: a.astype(np.float32))
+    for bad, prepare in itertools.product((np.nan, np.inf, -np.inf), paths):
+        cube = np.ones((2, 2, 2))
+        cube[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HsiCube(prepare(cube))
+        matrix = np.ones((2, 4))
+        matrix[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PixelMatrix(prepare(matrix), 2, 2)
+
+
+def test_mix_result_is_read_only_and_owns_its_memory():
+    em = EndmemberMatrix(np.array([[0.2, 0.9], [0.5, 0.1], [0.7, 0.4]]))
+    ab = AbundanceMatrix(np.array([[0.25, 1.0, 0.0], [0.75, 0.0, 1.0]]), 1, 3)
+    y = mix(em, ab)
+    assert not y.values.flags.writeable
+    with pytest.raises(ValueError):
+        y.values[0, 0] = 0.0
+    assert not np.shares_memory(y.values, em.values)
+    assert not np.shares_memory(y.values, ab.values)
+    assert_array_equal(y.values, em.values @ ab.values)
 
 
 def test_cube_properties():

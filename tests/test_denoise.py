@@ -3,7 +3,8 @@
 Oracles are independent of the implementation: the impulse response is
 checked against a kernel recomputed here from the truncation rule, the
 separable filter against scipy's reference implementation (same sampled
-Gaussian, same replicate borders at sigma = 1), NLM against window
+Gaussian, same replicate borders at sigma = 1) and, bit for bit, against
+scipy's correlate1d with this file's kernel at any sigma, NLM against window
 convexity bounds from rank filters and against a band-by-band reference
 written here with scipy's box filter, and TV against an energy
 functional evaluated by this file's own forward differences.
@@ -88,17 +89,32 @@ def test_gaussian_ramp_interior_unchanged():
     assert_allclose(out[:, r:-r], img[:, r:-r], rtol=0, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+def _gaussian_kernel(sigma):
+    """The sampled kernel of the truncation rule, recomputed here."""
+    radius = max(int(np.ceil(3.0 * sigma)), 1)
+    x = np.arange(-radius, radius + 1, dtype=float)
+    k = np.exp(-(x**2) / (2.0 * sigma**2))
+    return k / k.sum()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), lead=st.lists(st.integers(1, 3), max_size=2),
        rows=st.integers(1, 12), cols=st.integers(1, 12),
-       sigma_spatial=st.floats(0.3, 4.0))
-def test_gaussian_volume_is_bitwise_per_band(data, lead, rows, cols, sigma_spatial):
-    volume = data.draw(arrays(np.float64, (*lead, rows, cols),
-                              elements=st.floats(-1e3, 1e3)))
-    out = gaussian_filter(volume, sigma_spatial)
-    planes = volume.reshape(-1, rows, cols)
-    want = np.stack([gaussian_filter(band, sigma_spatial) for band in planes])
-    assert_array_equal(out, want.reshape(volume.shape))
+       sigma_spatial=st.floats(0.3, 4.0), scale=st.sampled_from([1.0, 1e-3, 1e3]),
+       block_planes=st.integers(1, 3))
+def test_gaussian_volume_is_bitwise_per_band(data, lead, rows, cols, sigma_spatial,
+                                             scale, block_planes):
+    # scipy's correlation along rows, then columns, is the reference; radii
+    # up to 12 exceed most of these planes, and a budget of one to three
+    # planes makes most volumes span several blocks
+    volume = scale * data.draw(arrays(np.float64, (*lead, rows, cols),
+                                      elements=st.floats(-1.0, 1.0)))
+    with mock.patch.object(denoise_module, "BLOCK_PIXELS", block_planes * rows * cols):
+        out = gaussian_filter(volume, sigma_spatial)
+    kernel = _gaussian_kernel(sigma_spatial)
+    want = ndimage.correlate1d(volume, kernel, axis=-2, mode="nearest")
+    want = ndimage.correlate1d(want, kernel, axis=-1, mode="nearest")
+    assert_array_equal(out, want)
 
 
 # --------------------------------------------------------------------- nlm
@@ -138,7 +154,7 @@ def test_nlm_volume_matches_band_reference(data, lead, rows, cols, patch_radius,
     volume = scale * data.draw(arrays(np.float64, (*lead, rows, cols),
                                       elements=st.floats(0.0, 1.0)))
     sigma = rel_sigma * scale
-    with mock.patch.object(denoise_module, "NLM_BLOCK_PIXELS", block_planes * rows * cols):
+    with mock.patch.object(denoise_module, "BLOCK_PIXELS", block_planes * rows * cols):
         out = nlm_filter(volume, sigma, patch_radius, search_radius, 2.0)
     want = np.stack([_nlm_reference(band, sigma, patch_radius, search_radius, 2.0)
                      for band in volume.reshape(-1, rows, cols)])
@@ -146,18 +162,23 @@ def test_nlm_volume_matches_band_reference(data, lead, rows, cols, patch_radius,
     assert_allclose(out, want.reshape(volume.shape), rtol=0, atol=tol)
 
 
-def test_nlm_block_budget_bounds_memory():
+@pytest.mark.parametrize("filter_volume, bound", [
+    (lambda volume: nlm_filter(volume, 0.05), 3.0),
+    (lambda volume: gaussian_filter(volume, 1.5), 1.9),
+], ids=["nlm", "gaussian"])
+def test_block_budget_bounds_memory(filter_volume, bound):
     # 24 planes of 128 x 128 span six blocks; one pass over the whole
-    # volume would hold about seven volumes of temporaries
+    # volume would hold about seven (nlm) or two (gaussian) volumes of
+    # temporaries, while blocks hold the output and a few blocks
     volume = np.random.default_rng(13).uniform(size=(24, 128, 128))
-    assert 128 * 128 < denoise_module.NLM_BLOCK_PIXELS < volume.size
+    assert 128 * 128 < denoise_module.BLOCK_PIXELS < volume.size
     tracemalloc.start()
     try:
-        nlm_filter(volume, 0.05)
+        filter_volume(volume)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * volume.nbytes
+    assert peak < bound * volume.nbytes
 
 
 def test_nlm_constant_unchanged():

@@ -1,10 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+importing the package and its command line loads no scipy.
 
 ``__init__.py`` is skipped: it imports names only to re-export them.
 Names listed in a module's ``__all__`` count as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,15 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported(tree).items() if name not in used]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by make_scene; a fresh interpreter shows what
+    # importing alone pulls in, whatever this test session imported
+    probe = ("import sys, pnpunmix, pnpunmix.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pnpunmix.io as io_module
 from pnpunmix.cube import HsiCube, fold, unfold
 from pnpunmix.errors import FileFormatError
 from pnpunmix.io import (
@@ -70,6 +72,14 @@ class TestCubeFile:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FileFormatError, match="bytes"):
             read_cube(path)
+
+    def test_overlong_payload_rejected(self, tmp_path):
+        path = tmp_path / "scene.raw"
+        write_cube(path, f32_cube((2, 3, 4)))
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(FileFormatError, match="payload is 100 bytes") as err:
+            read_cube(path)
+        assert str(path) in str(err.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         path = tmp_path / "scene.raw"
@@ -146,14 +156,16 @@ def _files(path: Path) -> tuple[bytes, bytes]:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data(), shape=_SHAPES)
-def test_cube_file_round_trip_is_bitwise(data, shape):
+@given(data=st.data(), shape=_SHAPES, chunk=st.integers(1, 8))
+def test_cube_file_round_trip_is_bitwise(data, shape, chunk):
+    # reads of a few values at a time span several chunks and a partial one
     cube = HsiCube(data.draw(arrays(np.float64, shape, elements=_F32)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cube.raw"
         write_cube(path, cube)
         assert path.read_bytes() == unfold(cube).values.astype("<f4").tobytes()
-        back = read_cube(path)
+        with mock.patch.object(io_module, "READ_CHUNK_VALUES", chunk):
+            back = read_cube(path)
     assert back.values.shape == cube.values.shape
     assert back.values.tobytes() == cube.values.tobytes()
 

@@ -192,6 +192,23 @@ def test_telemetry_lengths_and_stop_rule():
     assert len(state.a_step_seconds) == len(state.qp_unconverged) == n
 
 
+def test_records_count_qp_sweeps_and_singular_faces():
+    # pro-a's Q = M'M + rho I is positive definite: no face is singular
+    # (the acceptance trend scene: 64 x 64, P = 4, 64 bands, 10 dB, seed 0)
+    scene = pnpunmix.make_scene(pnpunmix.SceneSpec(
+        rows=64, cols=64, endmembers=4, bands=64, snr_db=10.0, seed=0))
+    cfg = default_config("pro-a", "nlm", snr_db=10.0, max_iter=4, stop_tol=0.0)
+    _, state = unmix(unfold(scene.noisy), scene.endmembers, cfg)
+    assert all(r.qp_shifted == 0 and r.qp_sweeps_max >= 1 for r in state.iterations)
+    # pro-h with B = 2 bands and P = 4 endmembers: H'H = M'M has a 2-d null
+    # space, which meets the sum-zero plane, so the full face's KKT matrix
+    # is singular and its solves take the diagonal shift
+    em, truth, clean, noisy = _scene(p=4, bands=2, snr_db=10.0)
+    cfg = default_config("pro-h", "nlm", snr_db=10.0, max_iter=4, stop_tol=0.0)
+    _, state = unmix(noisy, em, cfg)
+    assert all(r.qp_shifted > 0 and r.qp_sweeps_max >= 1 for r in state.iterations)
+
+
 @pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
 def test_default_stop_rule_waits_for_the_prior(mode):
     # the least-squares start already satisfies the data term, so the first
@@ -337,7 +354,7 @@ def test_primal_residual_zero_at_consistency():
         u=PixelMatrix(np.zeros_like(ha), 4, 4),
         mode="pro-h",
         endmembers=em,
-        iterations=(IterationRecord(1.0, 1.0, 0.0, None, 0.0, 0.0, 0),),
+        iterations=(IterationRecord(1.0, 1.0, 0.0, None, 0.0, 0.0, 0, 1, 0),),
     )
     assert primal_residual(state) == 0.0
 
