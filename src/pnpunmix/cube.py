@@ -8,8 +8,10 @@ A scene lives in two equivalent layouts:
 
 The column ordering is fixed once and used everywhere, including the binary
 cube file format: pixel ``n = col * rows + row``, i.e. pixels walk down each
-spatial column before moving to the next one.  Both reshapes are pure
-relabelings, so a round trip reproduces the input bit for bit.
+spatial column before moving to the next one.  This module is the only one
+that spells it out: :func:`fold` and :func:`unfold` wrap two array-level
+relabelings, which the unmixing loop calls directly on its plain arrays.
+Both are pure relabelings, so a round trip reproduces the input bit for bit.
 
 Both containers hold a read-only C-ordered float64 array.  An input that
 already is one and owns its data is adopted as-is, without a copy (the
@@ -107,11 +109,30 @@ class PixelMatrix:
         return self.values.shape[1]
 
 
+# The two relabelings below return new read-only, C-ordered float64 arrays
+# that own their data, so a container adopts them without another copy.
+
+
+def _to_planes(pixels: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(channels, rows*cols) pixel columns as (channels, rows, cols) planes."""
+    planes = np.empty((pixels.shape[0], rows, cols))
+    planes[...] = pixels.reshape(-1, cols, rows).transpose(0, 2, 1)
+    planes.setflags(write=False)
+    return planes
+
+
+def _to_pixels(planes: np.ndarray) -> np.ndarray:
+    """(channels, rows, cols) planes as pixel columns, n = col*rows + row."""
+    ch, r, c = planes.shape
+    pixels = np.empty((ch, r * c))
+    pixels.reshape(ch, c, r)[...] = planes.transpose(0, 2, 1)
+    pixels.setflags(write=False)
+    return pixels
+
+
 def unfold(cube: HsiCube) -> PixelMatrix:
     """Flatten a cube to a (bands, pixels) matrix, pixel n = col*rows + row."""
-    b, r, c = cube.values.shape
-    flat = cube.values.transpose(0, 2, 1).reshape(b, r * c)
-    return PixelMatrix(flat, r, c)
+    return PixelMatrix(_to_pixels(cube.values), cube.rows, cube.cols)
 
 
 def fold(matrix: PixelMatrix) -> HsiCube:
@@ -121,7 +142,4 @@ def fold(matrix: PixelMatrix) -> HsiCube:
     ``spatial_rows`` and ``spatial_cols`` attributes (abundance maps fold
     the same way band by band).
     """
-    r, c = matrix.spatial_rows, matrix.spatial_cols
-    ch = matrix.values.shape[0]
-    stack = matrix.values.reshape(ch, c, r).transpose(0, 2, 1)
-    return HsiCube(stack)
+    return HsiCube(_to_planes(matrix.values, matrix.spatial_rows, matrix.spatial_cols))

@@ -1,12 +1,13 @@
 """Swappable image denoisers, the prior half of the unmixing splitting.
 
-The algorithm only ever calls ``denoise(spec, volume, sigma)`` with the
-iteration's noise level sigma = sqrt(lambda / rho_k); everything behind
-that call is interchangeable.  Built-ins: ``identity`` (no prior),
-``gaussian`` (separable blur, fixed spatial width), ``nlm`` (non-local
-means with bandwidth h = h_scale * sigma), ``tv`` (rudin-osher-fatemi
-model with weight mu = sigma, solved by dual projected gradient).  All
-are plain numpy; the module imports no scipy.
+The unmixing loop hands each iteration's (channels, rows, cols) planes
+to the selected denoiser at the noise level sigma = sqrt(lambda / rho_k),
+through the array-level step that :func:`denoise` wraps for cubes;
+everything behind that step is interchangeable.  Built-ins: ``identity``
+(no prior), ``gaussian`` (separable blur, fixed spatial width), ``nlm``
+(non-local means with bandwidth h = h_scale * sigma), ``tv``
+(rudin-osher-fatemi model with weight mu = sigma, solved by dual
+projected gradient).  All are plain numpy; the module imports no scipy.
 
 Every built-in gives each channel what filtering that channel alone
 gives, with replicate borders, on one thread: ``nlm`` and ``gaussian``
@@ -14,7 +15,8 @@ filter blocks of whole channels (up to BLOCK_PIXELS pixels) in one
 pass, ``tv`` goes band by band.
 External denoisers (a learned prior, say) plug in through
 :func:`register_denoiser` with the signature ``fn(volume, sigma) ->
-volume``.
+array``: ``volume`` is a read-only, C-contiguous float64 (channels, rows,
+cols) array, and the result is a new array of that shape.
 """
 
 from __future__ import annotations
@@ -336,8 +338,10 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
 
     Args:
         name: registry key for config files and the command line.
-        fn: callable taking (volume array, sigma) and returning an array
-            of the same shape.  It is trusted to be deterministic.
+        fn: callable taking (volume, sigma), where volume is a read-only,
+            C-contiguous float64 (channels, rows, cols) array, and
+            returning a new array of the same shape; it must not write
+            to the input.  It is trusted to be deterministic.
     """
     if not name or not isinstance(name, str):
         raise ValueError("denoiser name must be a non-empty string")
@@ -352,6 +356,21 @@ def available_denoisers() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _denoise_planes(spec: DenoiserSpec, planes: np.ndarray, sigma: float) -> np.ndarray:
+    """:func:`denoise` on a (channels, rows, cols) array, returning an array."""
+    if not np.isfinite(sigma) or sigma < 0.0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    out = _REGISTRY[spec.kind](planes, float(sigma), spec.resolved())
+    if out.shape != planes.shape:
+        raise ComputeError(
+            f"denoiser {spec.kind!r} changed the volume shape: "
+            f"{planes.shape} -> {out.shape}"
+        )
+    if not np.isfinite(out).all():
+        raise ComputeError(f"denoiser {spec.kind!r}: cube must be finite (no NaN or Inf)")
+    return out
+
+
 def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
     """Apply the selected denoiser to a cube at noise level sigma.
 
@@ -364,15 +383,4 @@ def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
         A cube of the same shape; a shape-changing denoiser or non-finite
         output is a ComputeError.  The denoiser's own exceptions propagate.
     """
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    out = _REGISTRY[spec.kind](volume.values, float(sigma), spec.resolved())
-    if out.shape != volume.values.shape:
-        raise ComputeError(
-            f"denoiser {spec.kind!r} changed the volume shape: "
-            f"{volume.values.shape} -> {out.shape}"
-        )
-    try:
-        return HsiCube(out)
-    except ValueError as exc:
-        raise ComputeError(f"denoiser {spec.kind!r}: {exc}") from None
+    return HsiCube(_denoise_planes(spec, volume.values, sigma))

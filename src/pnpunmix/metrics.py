@@ -23,7 +23,12 @@ def rmse(truth: AbundanceMatrix, estimate: AbundanceMatrix) -> float:
         raise ShapeError(
             f"abundance shapes differ: {truth.values.shape} vs {estimate.values.shape}"
         )
-    diff = estimate.values - truth.values
+    return _rmse(truth.values, estimate.values)
+
+
+def _rmse(truth: np.ndarray, estimate: np.ndarray) -> float:
+    """:func:`rmse` on two arrays of the same shape."""
+    diff = estimate - truth
     return float(np.sqrt(np.mean(diff**2)))
 
 

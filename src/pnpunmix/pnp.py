@@ -1,19 +1,20 @@
 """Plug-and-play ADMM unmixing loop.
 
-A per-pixel simplex QP fits the data and a denoiser plays the prior on
+A per-pixel simplex QP fits the data and a denoiser D plays the prior on
 the split variable z = H a; z and the scaled dual u are (P, pixels)
-arrays.  "pro-a" filters the abundance planes: H = I.  "pro-h" filters
-the spectra M a as coordinates in an orthonormal basis U of span(M):
-from the thin SVD M = U S V', each column of U signed so that its
-largest-magnitude entry is positive, H = S V', so U H = M and H'H = M'M.
-White noise of level sigma on the bands keeps level sigma on these
+arrays, which only D sees as (P, rows, cols) planes in the pixel order of
+:mod:`pnpunmix.cube`.  "pro-a" filters the abundance planes: H = I.
+"pro-h" filters the spectra M a as coordinates in an orthonormal basis U
+of span(M): from the thin SVD M = U S V', each column of U signed so that
+its largest-magnitude entry is positive, H = S V', so U H = M and H'H =
+M'M.  White noise of level sigma on the bands keeps level sigma on these
 coefficients, and a linear denoiser that treats all bands alike gives
 exactly the B-band loop.  A starts from the fully constrained
 least-squares fit and U from zero.  That start already minimizes the data
 term, so each iteration k (rho_k = rho0 * alpha^k in closed form, so the
 schedule is exact) refreshes Z before the A-step:
 
-    Z      <- unfold(denoise(fold(H A + U), sigma = sqrt(lambda/rho_k)))
+    Z      <- D(H A + U, sigma = sqrt(lambda/rho_k))
     U      <- U + H A - Z
     A      <- per-pixel QP, Q = M'M + rho_k H'H, f = -(M'y + rho_k H'(Z - U))
 
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import PixelMatrix, fold, unfold
-from .denoise import DenoiserSpec, denoise
+from .cube import PixelMatrix, _to_pixels, _to_planes
+from .denoise import DenoiserSpec, _denoise_planes
 from .errors import ComputeError, ShapeError
-from .metrics import rmse as _rmse
+from .metrics import _rmse
 from .model import ASC_TOL, AbundanceMatrix, EndmemberMatrix
 from .qp import MODES, _solve_batch
 
@@ -185,8 +186,8 @@ def unmix(
         observed: data to unmix, (bands, pixels).
         endmembers: known spectra, (bands, endmembers).
         cfg: loop configuration.
-        truth: optional ground truth; when given, every iteration
-            record carries the abundance rmse, for convergence plots.
+        truth: optional ground truth on the data's grid; when given, every
+            iteration record carries the abundance rmse, for convergence plots.
 
     Returns:
         (final abundances, state with one record per iteration).
@@ -195,7 +196,8 @@ def unmix(
     value and are counted in each record's qp_unconverged; one summary
     warning at the end counts them and the least-squares start's misses.
     Non-finite values anywhere raise ComputeError naming the step; any
-    exception the denoiser itself raises propagates unchanged.
+    exception the denoiser itself raises propagates unchanged.  Mismatched
+    shapes raise ShapeError before the first iteration.
     """
     if observed.channels != endmembers.bands:
         raise ShapeError(
@@ -203,6 +205,11 @@ def unmix(
         )
     m = endmembers.values
     rows, cols = observed.spatial_rows, observed.spatial_cols
+    if truth is not None:
+        grid = (truth.endmembers, truth.spatial_rows, truth.spatial_cols)
+        if grid != (endmembers.count, rows, cols):
+            raise ShapeError(f"truth (endmembers, rows, cols) {grid} vs data "
+                             f"{(endmembers.count, rows, cols)}")
     h = _split_operator(cfg.mode, m)
     hth = h.T @ h
     mtm = m.T @ m
@@ -219,8 +226,8 @@ def unmix(
         sigma_k = float(np.sqrt(cfg.lam / rho_k))
         tic = time.perf_counter()
         try:
-            volume = fold(PixelMatrix(ha + u, rows, cols))
-            z = unfold(denoise(cfg.denoiser, volume, sigma_k)).values
+            planes = _to_planes(ha + u, rows, cols)
+            z = _to_pixels(_denoise_planes(cfg.denoiser, planes, sigma_k))
         except ComputeError as exc:
             raise ComputeError(f"z-step failed: {exc}") from exc
         z_seconds = time.perf_counter() - tic
@@ -248,7 +255,7 @@ def unmix(
             rho=rho_k,
             sigma=sigma_k,
             primal_residual=residual,
-            rmse=None if truth is None else _rmse(truth, AbundanceMatrix(a, rows, cols)),
+            rmse=None if truth is None else _rmse(truth.values, a),
             a_step_seconds=a_seconds,
             z_step_seconds=z_seconds,
             qp_unconverged=int((~conv).sum()),

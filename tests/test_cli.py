@@ -512,6 +512,16 @@ class TestExitCodes:
         assert code == 3
         assert "unmixing" in capsys.readouterr().err
 
+    def test_truth_on_another_grid_is_shape_error(self, scene_dir, tmp_path, capsys):
+        # the 144 pixels of the 12x12 scene, laid out on an 8x18 grid
+        truth = read_abundances(scene_dir / "truth.raw")
+        wide = AbundanceMatrix(truth.values, 8, 18, asc_tol=truth.asc_tol)
+        write_abundances(tmp_path / "wide.raw", wide)
+        code = run_unmix(scene_dir, tmp_path / "o", "--denoiser", "identity",
+                         "--truth", str(tmp_path / "wide.raw"))
+        assert code == 3
+        assert "[unmixing]" in capsys.readouterr().err
+
     def test_compute_failure_is_reported_with_stage(self, scene_dir, tmp_path, capsys):
         try:
             register_denoiser("cli-poison", lambda vol, sigma: np.full_like(vol, np.nan))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import pnpunmix
-from pnpunmix import qp
+from pnpunmix import cube, qp
 from pnpunmix.cube import PixelMatrix, fold, unfold
 from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
 from pnpunmix.errors import ComputeError, ShapeError
@@ -37,6 +37,7 @@ from pnpunmix.pnp import (
     unmix,
 )
 from pnpunmix.qp import fcls
+from pnpunmix.synth import SceneSpec, make_scene
 
 
 def _scene(rows=8, cols=8, p=3, bands=16, snr_db=25.0, seed=0):
@@ -292,6 +293,80 @@ def test_shape_mismatch_rejected():
     wrong = PixelMatrix(noisy.values[:-1], noisy.spatial_rows, noisy.spatial_cols)
     with pytest.raises(ShapeError):
         unmix(wrong, em, _identity_cfg("pro-a"))
+
+
+@pytest.mark.parametrize("grid", [(3, 4, 4), (3, 4, 16), (3, 16, 4), (2, 8, 8)])
+def test_truth_off_the_data_grid_is_rejected_before_the_first_iteration(grid):
+    # (3, 4, 4) has the wrong pixel count; (3, 4, 16) and (3, 16, 4) hold
+    # the 64 pixels of the 3x8x8 data on another grid, which used to run
+    # silently; (2, 8, 8) has the wrong endmember count
+    calls = []
+    kind = "count-truth-{}x{}x{}".format(*grid)
+    register_denoiser(kind, lambda v, s: calls.append(1) or v.copy())
+    em, truth, clean, noisy = _scene()
+    p, rows, cols = grid
+    wrong = AbundanceMatrix(np.full((p, rows * cols), 1.0 / p), rows, cols)
+    cfg = PnpConfig(**{**_identity_cfg("pro-a").__dict__, "denoiser": DenoiserSpec(kind)})
+    with pytest.raises(ShapeError, match=rf"\({p}, {rows}, {cols}\) vs data \(3, 8, 8\)"):
+        unmix(noisy, em, cfg, truth=wrong)
+    assert calls == []
+
+
+def test_plugin_gets_read_only_c_ordered_planes_in_pixel_order():
+    # a non-square scene: the built-in filters treat rows and columns
+    # alike, so only a recording plug-in can tell a transposed layout
+    seen = []
+
+    def record(volume, sigma):
+        seen.append(volume)
+        return volume.copy()
+
+    register_denoiser("record-planes", record)
+    scene = make_scene(SceneSpec(rows=8, cols=13, endmembers=3, bands=16))
+    noisy = unfold(scene.noisy)
+    cfg = PnpConfig(mode="pro-a", denoiser=DenoiserSpec("record-planes"),
+                    rho0=1.0, lam=1e-3, max_iter=3, stop_tol=0.0)
+    unmix(noisy, scene.endmembers, cfg)
+    assert len(seen) == 3
+    for volume in seen:
+        assert type(volume) is np.ndarray
+        assert volume.shape == (3, 8, 13)
+        assert volume.dtype == np.float64
+        assert volume.flags.c_contiguous
+        assert not volume.flags.writeable
+    start = fcls(scene.endmembers, noisy)
+    assert seen[0].tobytes() == fold(start).values.tobytes()
+    # plane[:, row, col] is pixel col * rows + row
+    pixel = np.arange(13)[None, :] * 8 + np.arange(8)[:, None]
+    assert seen[0].tobytes() == start.values[:, pixel].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["pro-a", "pro-h"])
+def test_containers_per_unmix_do_not_grow_with_the_budget(mode, monkeypatch):
+    counts = {"arrays": 0, "abundances": 0}
+    as_readonly = cube._as_readonly_f64
+    post_init = AbundanceMatrix.__post_init__
+
+    def count_arrays(*args, **kwargs):
+        counts["arrays"] += 1
+        return as_readonly(*args, **kwargs)
+
+    def count_abundances(self):
+        counts["abundances"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(cube, "_as_readonly_f64", count_arrays)
+    monkeypatch.setattr(AbundanceMatrix, "__post_init__", count_abundances)
+    em, truth, clean, noisy = _scene()
+    per_budget = []
+    for max_iter in (1, 5):
+        counts.update(arrays=0, abundances=0)
+        cfg = PnpConfig(mode=mode, denoiser=DenoiserSpec("gaussian"), rho0=1.0,
+                        lam=1e-3, max_iter=max_iter, stop_tol=0.0)
+        _, state = unmix(noisy, em, cfg, truth=truth)
+        assert len(state.iterations) == max_iter
+        per_budget.append(dict(counts))
+    assert per_budget[0] == per_budget[1]
 
 
 def test_config_validation():
