@@ -45,7 +45,6 @@ from .pnp import (
     IterationRecord,
     PnpConfig,
     default_config,
-    primal_residual,
     unmix,
 )
 from .qp import QpProblem, QpSolution, fcls, solve_simplex_qp
@@ -80,7 +79,6 @@ __all__ = [
     "IterationRecord",
     "AdmmState",
     "unmix",
-    "primal_residual",
     "default_config",
     "SceneSpec",
     "Scene",

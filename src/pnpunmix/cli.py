@@ -48,7 +48,7 @@ from .model import mix
 from .pnp import PnpConfig, default_config, unmix
 from .synth import SceneSpec, make_scene
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -100,6 +100,17 @@ def _parse_number(text: str):
         return text
 
 
+def _parse_params(items, flag: str) -> dict:
+    """``key=value`` items of a repeatable flag as {key: number or text}."""
+    params = {}
+    for item in items or ():
+        if "=" not in item:
+            raise UsageError(f"{flag} expects key=value, got {item!r}")
+        key, _, raw = item.partition("=")
+        params[key.strip()] = _parse_number(raw)
+    return params
+
+
 @dataclass(frozen=True)
 class _Opt:
     key: str
@@ -138,21 +149,6 @@ _DENOISER_KEY_PREFIX = "denoiser."
 _LOOP_KEYS = {f.name for f in fields(PnpConfig)} - {"mode", "denoiser"} | {"snr_db"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one unmix run: paths, loop config, outputs."""
-
-    cube: Path
-    endmembers: Path
-    out_dir: Path
-    pnp: PnpConfig
-    truth: Path | None = None
-    clean: Path | None = None
-    emit_maps: bool = True
-    emit_trace: bool = True
-    emit_metrics: bool = True
-
-
 def _merge_settings(args) -> tuple[dict, dict]:
     """Config-file values overridden by explicit flags; unknown keys rejected."""
     known = {opt.key: opt for opt in _UNMIX_OPTS}
@@ -174,34 +170,11 @@ def _merge_settings(args) -> tuple[dict, dict]:
         flag_value = getattr(args, opt.key)
         if flag_value is not None:
             settings[opt.key] = flag_value
-    for item in args.denoiser_param or ():
-        if "=" not in item:
-            raise UsageError(f"--denoiser-param expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        denoiser_params[key.strip()] = _parse_number(raw)
+    denoiser_params.update(_parse_params(args.denoiser_param, "--denoiser-param"))
     missing = [known[k].flag for k, v in settings.items() if v is None and known[k].required]
     if missing:
         raise UsageError(f"missing required settings: {', '.join(sorted(missing))}")
     return settings, denoiser_params
-
-
-def _build_run_config(args) -> RunConfig:
-    settings, denoiser_params = _merge_settings(args)
-    overrides = {key: settings[key] for key in _LOOP_KEYS if settings[key] is not None}
-    if denoiser_params:
-        overrides["denoiser"] = DenoiserSpec(settings["denoiser"], denoiser_params)
-    pnp = default_config(settings["mode"], settings["denoiser"], **overrides)
-    return RunConfig(
-        cube=Path(settings["cube"]),
-        endmembers=Path(settings["endmembers"]),
-        out_dir=Path(settings["out"]),
-        pnp=pnp,
-        truth=Path(settings["truth"]) if settings["truth"] else None,
-        clean=Path(settings["clean"]) if settings["clean"] else None,
-        emit_maps=settings["emit_maps"],
-        emit_trace=settings["emit_trace"],
-        emit_metrics=settings["emit_metrics"],
-    )
 
 
 def _write_trace(path: Path, state) -> None:
@@ -239,14 +212,18 @@ def cmd_synth(args) -> int:
 
 def cmd_unmix(args) -> int:
     with _phase("configuration"):
-        rc = _build_run_config(args)
+        settings, denoiser_params = _merge_settings(args)
+        overrides = {key: settings[key] for key in _LOOP_KEYS if settings[key] is not None}
+        if denoiser_params:
+            overrides["denoiser"] = DenoiserSpec(settings["denoiser"], denoiser_params)
+        cfg = default_config(settings["mode"], settings["denoiser"], **overrides)
     with _phase("input parsing"):
-        observed = _read_pixels(rc.cube)
-        endmembers = read_endmembers(rc.endmembers)
-        truth = read_abundances(rc.truth) if rc.truth else None
-        clean = _read_pixels(rc.clean) if rc.clean else None
+        observed = _read_pixels(settings["cube"])
+        endmembers = read_endmembers(settings["endmembers"])
+        truth = read_abundances(settings["truth"]) if settings["truth"] else None
+        clean = _read_pixels(settings["clean"]) if settings["clean"] else None
     with _phase("unmixing"):
-        estimate, state = unmix(observed, endmembers, rc.pnp, truth=truth)
+        estimate, state = unmix(observed, endmembers, cfg, truth=truth)
     with _phase("evaluation"):
         reconstruction = mix(endmembers, estimate)
         record = evaluate(
@@ -256,19 +233,20 @@ def cmd_unmix(args) -> int:
         if truth is not None:
             record["per_iteration_rmse"] = [r.rmse for r in state.iterations]
     with _phase("output writing"):
-        rc.out_dir.mkdir(parents=True, exist_ok=True)
-        write_abundances(rc.out_dir / ABUNDANCE_FILE, estimate)
-        _write_pixels(rc.out_dir / RECONSTRUCTION_FILE, reconstruction)
-        if rc.emit_metrics:
-            (rc.out_dir / METRICS_FILE).write_text(
+        out_dir = Path(settings["out"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_abundances(out_dir / ABUNDANCE_FILE, estimate)
+        _write_pixels(out_dir / RECONSTRUCTION_FILE, reconstruction)
+        if settings["emit_metrics"]:
+            (out_dir / METRICS_FILE).write_text(
                 json.dumps(record, sort_keys=True, indent=2) + "\n"
             )
-        if rc.emit_trace:
-            _write_trace(rc.out_dir / TRACE_FILE, state)
-        if rc.emit_maps:
+        if settings["emit_trace"]:
+            _write_trace(out_dir / TRACE_FILE, state)
+        if settings["emit_maps"]:
             planes = fold(estimate).values
             for i in range(planes.shape[0]):
-                write_graymap(rc.out_dir / f"map_{i}.pgm", planes[i])
+                write_graymap(out_dir / f"map_{i}.pgm", planes[i])
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
@@ -292,13 +270,7 @@ def cmd_eval(args) -> int:
 
 def cmd_denoise(args) -> int:
     with _phase("configuration"):
-        params = {}
-        for item in args.param or ():
-            if "=" not in item:
-                raise UsageError(f"--param expects key=value, got {item!r}")
-            key, _, raw = item.partition("=")
-            params[key.strip()] = _parse_number(raw)
-        spec = DenoiserSpec(args.kind, params)
+        spec = DenoiserSpec(args.kind, _parse_params(args.param, "--param"))
     # checked before any input is read, under the stage it configures
     with _phase("denoising"):
         if not 0.0 <= args.sigma < float("inf"):

@@ -17,7 +17,8 @@ Both containers hold a read-only C-ordered float64 array.  An input that
 already is one and owns its data is adopted as-is, without a copy (the
 library marks the arrays it makes for a container read-only, so they
 exist once); any other input, a writeable array or a view included, is
-copied.  Every input is checked for NaN and Inf.
+copied.  Every input is checked for NaN and Inf.  The abundance container
+of :mod:`pnpunmix.model` is a PixelMatrix with a simplex check on top.
 """
 
 from __future__ import annotations
@@ -136,10 +137,9 @@ def unfold(cube: HsiCube) -> PixelMatrix:
 
 
 def fold(matrix: PixelMatrix) -> HsiCube:
-    """Reshape a pixel matrix back into a (channels, rows, cols) cube.
+    """Reshape a :class:`PixelMatrix` back into a (channels, rows, cols) cube.
 
-    Inverse of :func:`unfold`; also accepts any object with ``values``,
-    ``spatial_rows`` and ``spatial_cols`` attributes (abundance maps fold
-    the same way band by band).
+    Inverse of :func:`unfold`; an abundance matrix, a PixelMatrix too,
+    folds into one plane per endmember.
     """
     return HsiCube(_to_planes(matrix.values, matrix.spatial_rows, matrix.spatial_cols))

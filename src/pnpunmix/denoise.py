@@ -40,27 +40,19 @@ __all__ = [
     "available_denoisers",
 ]
 
-_PARAM_SPECS: dict[str, dict[str, tuple]] = {
-    "identity": {},
-    "gaussian": {"sigma_spatial": ("positive", 1.5)},
-    "nlm": {
-        "patch_radius": ("radius", 1),
-        "search_radius": ("radius", 5),
-        "h_scale": ("positive", 10.0),
-    },
-    "tv": {"iters": ("count", 30)},
-}
-
 
 @dataclass(frozen=True, eq=False)
 class DenoiserSpec:
     """Name + parameters selecting a denoiser.
 
-    The kind must be registered.  For the built-in kinds the parameters
-    are validated eagerly: radii and iteration counts must be integers
-    >= 1 (window sizes 2r+1 stay odd by construction), widths and scales
-    positive.  Parameters of externally registered kinds pass through
-    untouched.
+    The kind must be registered, and every parameter must be one its
+    registry entry checks: for the built-ins, radii and iteration counts
+    are integers >= 1 (window sizes 2r+1 stay odd by construction), widths
+    and scales positive.  Parameters left out take the defaults of the
+    filter's signature.  Plug-ins take no parameters, so any parameter for
+    one is rejected.  ``gaussian`` ignores sigma: its strength is
+    ``sigma_spatial`` alone, so in ``unmix`` lambda has no effect on it and
+    only rho0 moves the result.
     """
 
     kind: str
@@ -73,31 +65,24 @@ class DenoiserSpec:
                 f"unknown denoiser {self.kind!r}; "
                 f"available: {', '.join(available_denoisers())}"
             )
-        spec = _PARAM_SPECS.get(self.kind)
-        if spec is None:
-            return
+        checks = _REGISTRY[self.kind][1]
         for key, value in self.params.items():
-            if key not in spec:
+            if key not in checks:
                 raise ValueError(
                     f"unknown parameter {key!r} for denoiser {self.kind!r}; "
-                    f"valid: {sorted(spec)}"
+                    f"valid: {sorted(checks)}"
                 )
-            role = spec[key][0]
-            if role in ("radius", "count"):
-                if not isinstance(value, (int, np.integer)) or value < 1:
-                    raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-            elif (not isinstance(value, numbers.Real) or not np.isfinite(value)
-                  or value <= 0):
-                raise ValueError(f"{key} must be a positive number, got {value!r}")
+            checks[key](key, value)
 
-    def resolved(self) -> dict:
-        """Parameters with defaults filled in (built-in kinds only)."""
-        spec = _PARAM_SPECS.get(self.kind)
-        if spec is None:
-            return dict(self.params)
-        out = {key: default for key, (_, default) in spec.items()}
-        out.update(self.params)
-        return out
+
+def _count(key: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _positive(key: str, value) -> None:
+    if not isinstance(value, numbers.Real) or not np.isfinite(value) or value <= 0:
+        raise ValueError(f"{key} must be a positive number, got {value!r}")
 
 
 # pixels per block: ``gaussian`` and ``nlm`` filter whole channels
@@ -122,7 +107,7 @@ def _by_blocks(volume: np.ndarray, filter_block: Callable) -> np.ndarray:
     return out.reshape(volume.shape)
 
 
-def gaussian_filter(volume: np.ndarray, sigma_spatial: float) -> np.ndarray:
+def gaussian_filter(volume: np.ndarray, sigma_spatial: float = 1.5) -> np.ndarray:
     """Separable Gaussian blur of each (rows, cols) plane, replicate borders.
 
     ``volume`` is one plane or a stack (..., rows, cols), filtered in
@@ -319,14 +304,17 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     return best
 
 
-# kind -> fn(volume array, sigma, resolved params) -> volume array
-_REGISTRY: dict[str, Callable] = {
-    "identity": lambda volume, sigma, params: volume,
-    "gaussian": lambda volume, sigma, params: gaussian_filter(volume, **params),
-    "nlm": lambda volume, sigma, params: nlm_filter(volume, sigma, **params),
-    "tv": lambda volume, sigma, params: np.stack(
-        [tv_denoise(band, sigma, **params) for band in volume]
-    ),
+# kind -> (fn(volume, sigma, **params) -> volume, {parameter: check});
+# a parameter left out takes the default of the filter's signature
+_REGISTRY: dict[str, tuple[Callable, dict[str, Callable]]] = {
+    "identity": (lambda volume, sigma: volume, {}),
+    "gaussian": (lambda volume, sigma, **params: gaussian_filter(volume, **params),
+                 {"sigma_spatial": _positive}),
+    "nlm": (nlm_filter,
+            {"patch_radius": _count, "search_radius": _count, "h_scale": _positive}),
+    "tv": (lambda volume, sigma, **params: np.stack(
+               [tv_denoise(band, sigma, **params) for band in volume]),
+           {"iters": _count}),
 }
 
 
@@ -335,6 +323,11 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
 
     In ``unmix`` the volume has one channel per endmember, not per band:
     abundance planes (pro-a) or basis coefficients of the spectra (pro-h).
+    In pro-h the plug-in gets neither the basis U nor the endmembers M, so
+    it cannot rebuild band images from the coefficients.
+
+    A plug-in takes no parameters: a :class:`DenoiserSpec` that gives one
+    a parameter is a ValueError, and on the command line exit code 2.
 
     Args:
         name: registry key for config files and the command line.
@@ -347,9 +340,7 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
         raise ValueError("denoiser name must be a non-empty string")
     if name in _REGISTRY:
         raise ValueError(f"denoiser {name!r} is already registered")
-    _REGISTRY[name] = lambda volume, sigma, params: np.asarray(
-        fn(volume, sigma), dtype=np.float64
-    )
+    _REGISTRY[name] = (fn, {})
 
 
 def available_denoisers() -> tuple[str, ...]:
@@ -360,7 +351,8 @@ def _denoise_planes(spec: DenoiserSpec, planes: np.ndarray, sigma: float) -> np.
     """:func:`denoise` on a (channels, rows, cols) array, returning an array."""
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    out = _REGISTRY[spec.kind](planes, float(sigma), spec.resolved())
+    fn = _REGISTRY[spec.kind][0]
+    out = np.asarray(fn(planes, float(sigma), **spec.params), dtype=np.float64)
     if out.shape != planes.shape:
         raise ComputeError(
             f"denoiser {spec.kind!r} changed the volume shape: "

@@ -53,8 +53,8 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".hdr")
 
 
-def _write_pixels(path, matrix) -> None:
-    """Write a (channels, pixels) container as float32 payload plus ``.hdr``."""
+def _write_pixels(path, matrix: PixelMatrix) -> None:
+    """Write a :class:`PixelMatrix` as float32 payload plus ``.hdr``."""
     path = Path(path)
     payload = np.ascontiguousarray(matrix.values, dtype="<f4")
     lines = [

@@ -69,12 +69,13 @@ class EndmemberMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class AbundanceMatrix:
+class AbundanceMatrix(PixelMatrix):
     """Per-pixel abundance fractions, shape (endmembers, pixels).
 
-    Columns must lie on the unit simplex: entries >= 0 and each column
-    summing to one within ``asc_tol``.  Entries in [-1e-12, 0) are clamped
-    to zero at construction; anything more negative is an error.
+    A :class:`PixelMatrix` whose columns lie on the unit simplex: entries
+    >= 0 and each column summing to one within ``asc_tol``.  Entries in
+    [-1e-12, 0) are clamped to zero in a new array, so the caller's array
+    is never written; anything more negative is an error.
 
     Args:
         values: (endmembers, pixels) fractions.
@@ -84,44 +85,29 @@ class AbundanceMatrix:
             contract; readers of 32-bit files pass a looser value.
     """
 
-    values: np.ndarray
-    spatial_rows: int
-    spatial_cols: int
     asc_tol: float = ASC_TOL
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise ShapeError(f"abundances must be 2-d, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("abundances must be finite")
-        if self.spatial_rows * self.spatial_cols != arr.shape[1]:
-            raise ShapeError(
-                f"{arr.shape[1]} pixels cannot fill a "
-                f"{self.spatial_rows}x{self.spatial_cols} image"
-            )
+        super().__post_init__()
+        arr = self.values
         low = arr.min()
         if low < -ANC_CLAMP:
             raise ValueError(f"abundance {low} is negative beyond roundoff")
         if low < 0.0:
-            arr[arr < 0.0] = 0.0
+            arr = np.where(arr < 0.0, 0.0, arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, "values", arr)
         sums = arr.sum(axis=0)
-        worst = np.abs(sums - 1.0).max() if sums.size else 0.0
+        worst = np.abs(sums - 1.0).max()
         if worst > self.asc_tol:
             raise ValueError(
                 f"abundance columns must sum to 1 within {self.asc_tol:g}, "
                 f"worst deviation {worst:.3e}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
     @property
     def endmembers(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def pixels(self) -> int:
-        return self.values.shape[1]
 
 
 def mix(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix:

@@ -47,7 +47,6 @@ __all__ = [
     "IterationRecord",
     "AdmmState",
     "unmix",
-    "primal_residual",
     "PRESETS",
     "default_config",
 ]
@@ -128,13 +127,14 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """Final loop state (z and u: one channel per endmember) and records."""
+    """Final loop state (z and u: one channel per endmember) and records.
+
+    The final splitting gap is ``iterations[-1].primal_residual``.
+    """
 
     a: AbundanceMatrix
     z: PixelMatrix
     u: PixelMatrix
-    mode: str
-    endmembers: EndmemberMatrix
     iterations: tuple[IterationRecord, ...]
 
     @property
@@ -277,21 +277,9 @@ def unmix(
         a=AbundanceMatrix(a, rows, cols),
         z=PixelMatrix(z, rows, cols),
         u=PixelMatrix(u, rows, cols),
-        mode=cfg.mode,
-        endmembers=endmembers,
         iterations=tuple(records),
     )
     return state.a, state
-
-
-def primal_residual(state: AdmmState) -> float:
-    """Relative splitting mismatch ||HA - Z||_F / max(||Z||_F, 1e-12).
-
-    Evaluated on the state's final pair with the loop's H: the gap the
-    last record's stop test saw.  Near any fixed point it is small.
-    """
-    h = _split_operator(state.mode, state.endmembers.values)
-    return _split_gap(h, state.a.values, state.z.values)[1]
 
 
 def default_config(mode: str, denoiser_kind: str, snr_db: float = 20.0, **overrides):

@@ -295,6 +295,24 @@ class TestUnmixCommand:
         assert "[configuration]" in err and "h_scale" in err
         assert "Traceback" not in err
 
+    def test_plugin_parameter_is_configuration_error(self, tmp_path, capsys):
+        calls = []
+        try:
+            register_denoiser("cli-no-params", lambda vol, sigma: calls.append(1) or vol)
+        except ValueError:
+            pass
+        # the inputs do not exist, so reaching input parsing would fail there
+        code = main([
+            "unmix", "--cube", str(tmp_path / "absent.raw"),
+            "--endmembers", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o"),
+            "--mode", "pro-a", "--denoiser", "cli-no-params", "--denoiser-param", "k=1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[configuration]" in err and "'k'" in err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+
     def test_infinite_snr_runs_nan_snr_is_usage_error(self, scene_dir, tmp_path, capsys):
         assert run_unmix(scene_dir, tmp_path / "inf", "--denoiser", "identity",
                          "--max-iter", "2", "--snr-db", "inf") == 0

@@ -80,22 +80,33 @@ def _readonly(arr):
     return arr
 
 
+# every container with a valid input of its shape: the copy contract and
+# the finiteness check live in cube.py, and AbundanceMatrix inherits them
+CONTAINERS = (
+    (HsiCube, (2, 2, 2)),
+    (lambda values: PixelMatrix(values, 2, 2), (2, 4)),
+    (lambda values: AbundanceMatrix(values, 2, 2), (2, 4)),
+)
+
+
 def test_writeable_input_is_copied():
-    data = np.ones((2, 2, 2))
-    cube = HsiCube(data)
-    data[0, 0, 0] = 5.0
-    assert cube.values[0, 0, 0] == 1.0
-    assert not np.shares_memory(cube.values, data)
+    for make, shape in CONTAINERS:
+        data = np.full(shape, 0.5)
+        container = make(data)
+        data.flat[0] = 5.0
+        assert container.values.flat[0] == 0.5
+        assert not np.shares_memory(container.values, data)
 
 
 def test_read_only_view_is_copied():
-    base = np.arange(12.0).reshape(3, 4)
-    view = base[:2]
-    view.setflags(write=False)
-    mat = PixelMatrix(view, 2, 2)
-    base[0, 0] = -1.0
-    assert mat.values[0, 0] == 0.0
-    assert not np.shares_memory(mat.values, base)
+    for make, shape in CONTAINERS:
+        base = np.full((shape[0] + 1, *shape[1:]), 0.5)
+        view = base[:-1]
+        view.setflags(write=False)
+        container = make(view)
+        base.flat[0] = -1.0
+        assert container.values.flat[0] == 0.5
+        assert not np.shares_memory(container.values, base)
 
 
 def test_read_only_owned_float64_is_adopted():
@@ -103,21 +114,27 @@ def test_read_only_owned_float64_is_adopted():
     assert PixelMatrix(data, 2, 2).values is data
     cube_data = _readonly(np.zeros((2, 3, 4)))
     assert np.shares_memory(HsiCube(cube_data).values, cube_data)
+    fractions = _readonly(np.full((2, 4), 0.5))
+    assert AbundanceMatrix(fractions, 2, 2).values is fractions
+    # a clamp makes a new array and leaves the caller's as it was
+    hair = _readonly(np.array([[-1e-13, 0.5], [1.0 + 1e-13, 0.5]]))
+    clamped = AbundanceMatrix(hair, 1, 2)
+    assert clamped.values[0, 0] == 0.0
+    assert hair[0, 0] == -1e-13
+    assert not np.shares_memory(clamped.values, hair)
+    assert not clamped.values.flags.writeable
 
 
 def test_non_finite_rejected():
     # on every construction path: copied, adopted, read-only view, converted
     paths = (lambda a: a, _readonly, lambda a: _readonly(a)[:1],
              lambda a: a.astype(np.float32))
-    for bad, prepare in itertools.product((np.nan, np.inf, -np.inf), paths):
-        cube = np.ones((2, 2, 2))
-        cube[0, 0, 0] = bad
+    for bad, prepare, (make, shape) in itertools.product(
+            (np.nan, np.inf, -np.inf), paths, CONTAINERS):
+        data = np.full(shape, 0.5)
+        data.flat[0] = bad
         with pytest.raises(ValueError, match="finite"):
-            HsiCube(prepare(cube))
-        matrix = np.ones((2, 4))
-        matrix[0, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            PixelMatrix(prepare(matrix), 2, 2)
+            make(prepare(data))
 
 
 def test_mix_result_is_read_only_and_owns_its_memory():

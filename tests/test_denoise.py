@@ -399,6 +399,15 @@ def test_register_custom_denoiser():
         register_denoiser("halver-test", halver)
 
 
+def test_plugin_parameters_are_rejected():
+    # a plug-in is called as fn(volume, sigma), so a parameter for it
+    # could never reach it; the spec refuses it as it refuses unknown keys
+    register_denoiser("no-params-test", lambda v, s: v.copy())
+    assert DenoiserSpec("no-params-test").params == {}
+    with pytest.raises(ValueError, match="'k'"):
+        DenoiserSpec("no-params-test", {"k": 1})
+
+
 def test_shape_change_is_an_error():
     register_denoiser("cropper-test", lambda v, s: v[:, 1:, :])
     cube = HsiCube(np.zeros((2, 4, 4)))

@@ -28,12 +28,10 @@ from pnpunmix.metrics import rmse
 from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
 from pnpunmix.pnp import (
     PRESETS,
-    AdmmState,
-    IterationRecord,
     PnpConfig,
+    _split_gap,
     _split_operator,
     default_config,
-    primal_residual,
     unmix,
 )
 from pnpunmix.qp import fcls
@@ -422,16 +420,11 @@ def test_start_misses_are_counted_in_the_warning(monkeypatch):
 def test_primal_residual_zero_at_consistency():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     # z = H a formed as the loop forms it, so the gap is exactly zero
-    ha = np.einsum("ij,jn->in", _split_operator("pro-h", em.values), truth.values)
-    state = AdmmState(
-        a=truth,
-        z=PixelMatrix(ha, 4, 4),
-        u=PixelMatrix(np.zeros_like(ha), 4, 4),
-        mode="pro-h",
-        endmembers=em,
-        iterations=(IterationRecord(1.0, 1.0, 0.0, None, 0.0, 0.0, 0, 1, 0),),
-    )
-    assert primal_residual(state) == 0.0
+    h = _split_operator("pro-h", em.values)
+    z = np.einsum("ij,jn->in", h, truth.values)
+    ha, gap = _split_gap(h, truth.values, z)
+    assert_array_equal(ha, z)
+    assert gap == 0.0
 
 
 def test_primal_residual_tiny_at_identity_fixed_point():
@@ -442,19 +435,10 @@ def test_primal_residual_tiny_at_identity_fixed_point():
     em, truth, clean, noisy = _scene()
     _, state = unmix(noisy, em, _identity_cfg("pro-a", max_iter=6, stop_tol=0.0))
     assert state.iteration == 6
-    assert primal_residual(state) < 1e-10
+    assert state.iterations[-1].primal_residual < 1e-10
     res = np.asarray([r.primal_residual for r in state.iterations])
     assert res[0] < 1e-12
     assert res[-1] < res[0]
-
-
-@pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
-def test_primal_residual_is_the_last_record(mode):
-    # the function and the stop test compute the same gap the same way
-    em, truth, clean, noisy = _scene(rows=32, cols=32)
-    _, state = unmix(noisy, em, default_config(mode, "nlm", snr_db=25.0, max_iter=3,
-                                               stop_tol=0.0))
-    assert primal_residual(state) == state.iterations[-1].primal_residual
 
 
 # unmix a 64 x 64 scene, P = 4, three iterations each of pro-h nlm and
