@@ -122,6 +122,7 @@ class IterationRecord:
     z_step_seconds: float
     qp_unconverged: int  # pixels whose QP missed the inner tolerance
     qp_sweeps_max: int  # active-set sweeps of the slowest pixel's QP
+    qp_sweeps_mean: float  # active-set sweeps per pixel, averaged over pixels
     qp_shifted: int  # pixels whose QP met a singular face (FACE_SHIFT used)
 
 
@@ -260,6 +261,7 @@ def unmix(
             z_step_seconds=z_seconds,
             qp_unconverged=int((~conv).sum()),
             qp_sweeps_max=int(sweeps.max()),
+            qp_sweeps_mean=float(sweeps.mean()),
             qp_shifted=int(shifted.sum()),
         ))
         if residual < cfg.stop_tol:

@@ -19,13 +19,15 @@ retried once with FACE_SHIFT on its diagonal block, which is then
 positive definite for a PSD Q, so the retry always solves.
 
 Each sweep groups the open pixels by free-set pattern with one stable
-lexsort of their P free flags (any P; ascending pixels within a group) and
-factors once per pattern.  Substitution is elementwise across columns and
-the pivot order depends only on the matrix, so every pixel's arithmetic is
-bit-identical alone or in any batch; LAPACK's multi-RHS solve is not, hence
-the small LU below.  Subproblem vectors use einsum for the same reason:
-BLAS matmul results depend on the batch width at the last ulp.  KKT
-residuals are computed only for single-pixel solves (solve_simplex_qp).
+lexsort of their free flags packed by np.packbits (ceil(P/8) bytes, so
+any P; ascending pixels within a group) and factors once per pattern.  A
+face with every variable free pins no multiplier, so its feasible optima
+skip the multiplier check.  Substitution runs in place, elementwise across
+columns, and the pivot order depends only on the matrix, so every pixel's
+arithmetic is bit-identical alone or in any batch; LAPACK's multi-RHS
+solve is not, hence the small LU below.  Subproblem vectors use einsum for
+the same reason: BLAS matmul results depend on the batch width at the last
+ulp.  KKT residuals are computed only for single-pixel solves.
 """
 
 from __future__ import annotations
@@ -123,30 +125,37 @@ class QpSolution:
 
 
 def _lu_solve_cols(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve kmat @ x = rhs for many columns with partial-pivot LU.
+    """Solve kmat @ x = rhs for many columns with partial-pivot LU, in place.
 
-    Pivot choice depends only on kmat, and substitution updates are
-    elementwise across columns, so column j's result is bit-identical to
-    solving it alone.  Raises LinAlgError on a (near-)zero pivot.
+    kmat is factored before rhs is touched, so a (near-)zero pivot raises
+    LinAlgError with rhs intact; otherwise rhs is overwritten with x.
+    Pivots depend only on kmat and every update is elementwise across
+    columns, so column j's result is bit-identical to solving it alone.
     """
     u = np.array(kmat, dtype=np.float64)
-    x = np.array(rhs, dtype=np.float64)
     n = u.shape[0]
     cutoff = 1e-13 * max(float(np.abs(u).max()), 1.0)
+    steps = []
     for k in range(n):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
+        p = k + int(np.abs(u[k:, k]).argmax())
         if abs(u[p, k]) <= cutoff:
             raise np.linalg.LinAlgError("singular KKT pivot")
         if p != k:
             u[[k, p]] = u[[p, k]]
-            x[[k, p]] = x[[p, k]]
         mult = u[k + 1 :, k] / u[k, k]
         u[k + 1 :, k + 1 :] -= mult[:, None] * u[k, k + 1 :]
-        x[k + 1 :] -= mult[:, None] * x[k]
+        steps.append((p, mult))
+    x, tmp = rhs, np.empty_like(rhs)
+    for k, (p, mult) in enumerate(steps):
+        if p != k:
+            x[[k, p]] = x[[p, k]]
+        np.multiply(mult[:, None], x[k], out=tmp[k + 1 :])
+        np.subtract(x[k + 1 :], tmp[k + 1 :], out=x[k + 1 :])
     for k in range(n - 1, -1, -1):
+        np.multiply(u[k, k + 1 :, None], x[k + 1 :], out=tmp[k + 1 :])
         for j in range(k + 1, n):
-            x[k] -= u[k, j] * x[j]
-        x[k] /= u[k, k]
+            np.subtract(x[k], tmp[j], out=x[k])
+        np.divide(x[k], u[k, k], out=x[k])
     return x
 
 
@@ -176,68 +185,68 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
     tr = float(np.trace(q))
     scale = 2.0 ** -round(math.log2(tr / p)) if tr > 0.0 else 1.0
     q = q * scale
-    fs = fs * scale
+    nfs = fs * -scale  # -f, exactly: the face rhs is one gather of it
     a = np.array(a0, dtype=np.float64)
-    free = a > 0.0
+    free = np.pad(a.T > 0.0, ((0, 0), (0, -p % 8)))  # a row per pixel, whole bytes
     done = np.full(n, p == 1)  # one endmember: a0 = 1 is the only feasible point
-    converged = done.copy()
     iters = np.zeros(n, dtype=np.int64)
     shifted = np.zeros(n, dtype=bool)
-    trace_vals = [float(_objective_cols(q, fs, a)[0]) / scale] if trace else None
+    trace_vals = [float(_objective_cols(q, -nfs, a)[0]) / scale] if trace else None
 
     for _ in range(QP_MAX_SWEEPS):
         todo = np.flatnonzero(~done)
         if todo.size == 0:
             break
-        sub = free[:, todo]
-        order = np.lexsort(sub[::-1])
-        cuts = np.flatnonzero(np.diff(sub[:, order], axis=1).any(axis=0)) + 1
+        iters += ~done  # one more sweep for every open pixel
+        sub = np.take(free, todo, axis=0)
+        keys = np.packbits(sub).reshape(todo.size, -1)
+        order = np.lexsort(keys.T[::-1])
+        cuts = np.flatnonzero(np.diff(keys[order], axis=0).any(axis=1)) + 1
         for grp in np.split(order, cuts):
-            fm, px = sub[:, grp[0]], todo[grp]
-            iters[px] += 1
+            fm, px = sub[grp[0], :p], todo[grp]
             fi = np.flatnonzero(fm)
             nf = fi.size
-            kmat = np.zeros((nf + 1, nf + 1))
-            kmat[:nf, :nf] = q[np.ix_(fi, fi)]
-            kmat[:nf, nf] = 1.0
-            kmat[nf, :nf] = 1.0
+            kmat = np.ones((nf + 1, nf + 1))
+            kmat[:nf, :nf] = q[fi[:, None], fi]
+            kmat[nf, nf] = 0.0
             rhs = np.empty((nf + 1, px.size))
-            rhs[:nf] = -fs[np.ix_(fi, px)]
+            if nf == p:
+                np.take(nfs, px, axis=1, out=rhs[:nf], mode="clip")
+            else:
+                rhs[:nf] = nfs[fi[:, None], px]
             rhs[nf] = 1.0
             try:
-                sol = _lu_solve_cols(kmat, rhs)
+                x = _lu_solve_cols(kmat, rhs)
             except np.linalg.LinAlgError:
                 shifted[px] = True
                 kmat[:nf, :nf] += FACE_SHIFT * np.eye(nf)
-                sol = _lu_solve_cols(kmat, rhs)
-            x = sol[:nf]
-            nu = sol[nf]
+                x = _lu_solve_cols(kmat, rhs)
+            x, nu = x[:nf], x[nf]
             feas = x.min(axis=0) >= -ANC_CLAMP
-
-            fpx = px[feas]
-            if fpx.size:
-                # the face optimum is feasible: jump there, then check the
-                # multipliers of the pinned variables
-                anew = np.zeros((p, fpx.size))
-                anew[fi] = np.where(x[:, feas] < 0.0, 0.0, x[:, feas])
-                a[:, fpx] = anew
+            ipx, xw = px[~feas], x[:, ~feas]
+            aw = a[:, ipx]  # where the pixels with an infeasible optimum start
+            # jump to the face optimum; the infeasible ones are walked below
+            np.copyto(x, 0.0, where=x < 0.0)
+            if nf == p:
+                # no variable is pinned, so no multiplier can be negative
+                a[:, px] = x
+                ok = True
+            else:
+                anew = np.zeros((p, px.size))
+                anew[fi] = x
+                a[:, px] = anew
                 # on the face, g = Qa + f = -nu * 1; a pinned variable may
                 # stay at zero only if its multiplier g_i + nu is nonnegative
-                g = np.einsum("ij,jn->in", q, anew) + fs[:, fpx]
-                slack = np.where(fm[:, None], np.inf, g + nu[feas])
-                worst = slack.min(axis=0)
-                ok = worst >= -QP_TOL
-                done[fpx[ok]] = True
-                converged[fpx[ok]] = True
-                rel = fpx[~ok]
-                if rel.size:
-                    free[np.argmin(slack[:, ~ok], axis=0), rel] = True
-
-            ipx = px[~feas]
+                g = np.einsum("ij,jn->in", q, anew) - nfs[:, px]
+                slack = np.where(fm[:, None], np.inf, g + nu)
+                ok = slack.min(axis=0) >= -QP_TOL
+                rel = feas & ~ok
+                free[px[rel], np.argmin(slack[:, rel], axis=0)] = True
+            done[px] = feas & ok
             if ipx.size:
                 # walk toward the face optimum until a variable hits zero
-                acur = a[np.ix_(fi, ipx)]
-                d = x[:, ~feas] - acur
+                acur = aw[fi]
+                d = xw - acur
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.where(d < 0.0, acur / -d, np.inf)
                 t = ratio.min(axis=0)
@@ -245,12 +254,13 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
                 anew = acur + t * d
                 anew[anew < 0.0] = 0.0
                 anew[block, np.arange(ipx.size)] = 0.0
-                a[np.ix_(fi, ipx)] = anew
-                free[fi[block], ipx] = False
+                aw[fi] = anew
+                a[:, ipx] = aw
+                free[ipx, fi[block]] = False
         if trace:
-            trace_vals.append(float(_objective_cols(q, fs, a)[0]) / scale)
+            trace_vals.append(float(_objective_cols(q, -nfs, a)[0]) / scale)
 
-    return a, iters, converged, shifted, trace_vals
+    return a, iters, done, shifted, trace_vals
 
 
 def solve_simplex_qp(

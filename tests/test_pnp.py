@@ -199,6 +199,9 @@ def test_records_count_qp_sweeps_and_singular_faces():
     cfg = default_config("pro-a", "nlm", snr_db=10.0, max_iter=4, stop_tol=0.0)
     _, state = unmix(unfold(scene.noisy), scene.endmembers, cfg)
     assert all(r.qp_shifted == 0 and r.qp_sweeps_max >= 1 for r in state.iterations)
+    # warm-started pixels mostly finish in one sweep: the mean per pixel
+    # sits below the slowest pixel's count
+    assert all(1.0 <= r.qp_sweeps_mean < r.qp_sweeps_max for r in state.iterations)
     # pro-h with B = 2 bands and P = 4 endmembers: H'H = M'M has a 2-d null
     # space, which meets the sum-zero plane, so the full face's KKT matrix
     # is singular and its solves take the diagonal shift
@@ -206,6 +209,7 @@ def test_records_count_qp_sweeps_and_singular_faces():
     cfg = default_config("pro-h", "nlm", snr_db=10.0, max_iter=4, stop_tol=0.0)
     _, state = unmix(noisy, em, cfg)
     assert all(r.qp_shifted > 0 and r.qp_sweeps_max >= 1 for r in state.iterations)
+    assert all(1.0 <= r.qp_sweeps_mean <= r.qp_sweeps_max for r in state.iterations)
 
 
 @pytest.mark.parametrize("mode", ["pro-h", "pro-a"])

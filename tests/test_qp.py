@@ -267,6 +267,56 @@ def test_rank_deficient_fcls_is_scale_free():
     assert_allclose(m @ _fcls_scaled(m, y, 1e-3), base, rtol=0, atol=1e-9)
 
 
+def _warm_starts(rng, count, pixels):
+    # simplex points with exact zeros, vertices included, normalised the
+    # way solve_simplex_qp normalises a warm start
+    w = rng.dirichlet(np.full(count, 0.5), size=pixels).T
+    w[rng.random(w.shape) < 0.4] = 0.0
+    empty = ~w.any(axis=0)
+    w[rng.integers(0, count, size=pixels)[empty], np.flatnonzero(empty)] = 1.0
+    w = w / w.sum(axis=0)
+    w = np.maximum(w, 0.0)
+    return w / w.sum(axis=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    count=st.integers(2, 9),
+    bands=st.integers(1, 12),
+    pixels=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    log_rho=st.floats(-16.0, 2.0),
+    data=st.data(),
+)
+def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log_rho,
+                                                 data):
+    # the loop's A-step: Q = M'M + rho I from warm starts on the simplex.
+    # With B < P and a tiny rho a face is singular and takes the shifted
+    # retry; every column still gets the same bytes alone, in any
+    # sub-batch and through solve_simplex_qp
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.05, 0.95, size=(bands, count))
+    q = m.T @ m + 10.0**log_rho * np.eye(count)
+    q = (q + q.T) / 2.0
+    fs = -(m.T @ rng.uniform(0.0, 1.0, size=(bands, pixels))
+           + rng.standard_normal((count, pixels)))
+    a0 = _warm_starts(rng, count, pixels)
+    batch = qp._solve_batch(q, fs, a0)
+    sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
+    part = qp._solve_batch(q, fs[:, sub], a0[:, sub])
+    batch = batch[:4]  # a, sweeps, converged, shifted
+    for got, want in zip(part, batch):
+        assert_array_equal(got, want[..., sub])
+    for j in range(pixels):
+        alone = qp._solve_batch(q, fs[:, j : j + 1], a0[:, j : j + 1])
+        for got, want in zip(alone, batch):
+            assert_array_equal(got, want[..., j : j + 1])
+        sol = solve_simplex_qp(QpProblem(q, fs[:, j]), warm_start=a0[:, j])
+        assert_array_equal(sol.a, batch[0][:, j])
+        assert (sol.iterations, sol.converged, sol.shifted) == (
+            batch[1][j], batch[2][j], batch[3][j])
+
+
 def test_fcls_batch_invariant_past_64_endmembers():
     # 70 free flags per pixel: grouping must not rely on a 64-bit key
     rng = np.random.default_rng(23)
@@ -284,24 +334,41 @@ def test_fcls_batch_invariant_past_64_endmembers():
 P16_INPUT_SHA = "8d23f4faed221c33c1cc7ce66ab39fa1ee5f55c486ee876df7bcec7e760e89bd"
 P16_FCLS_SHA = "0794d409527ef98b9969a99fa5c4fae7aaf355bb3d6bfa92817878a69e0b879c"
 P16_UNMIX_SHA = "e268eba5764235c94a7cda25a1cf57849755a413071c73fbce8fc3a0b39fb2d9"
+P5_INPUT_SHA = "f374ce478996188ec8595c721c7ee95a476674eb4b2e1b169cea9bc1bcfa8814"
+P5_FCLS_SHA = "36b6d5d755b49e065c40f88c09ddd641fa98bbd4d62835efe99081ee702add4b"
+P5_UNMIX_SHA = "45d22050cae81e6ca73b10b2d6ff938c6bdf845a7c0d156b4a699aca96357c04"
 
 
-def test_grouping_keeps_the_recorded_p16_bytes():
-    # 16 endmembers on 32x32 pixels: up to 824 distinct free-set patterns in
-    # one sweep and over 7000 pattern groups across an fcls solve
-    scene = make_scene(SceneSpec(rows=32, cols=32, endmembers=16, bands=48, snr_db=10.0))
+def _assert_recorded_bytes(spec, input_sha, fcls_sha, unmix_sha, max_iter):
+    scene = make_scene(spec)
     observed = unfold(scene.noisy)
     m = scene.endmembers.values
     inputs = hashlib.sha256(observed.values.tobytes() + (m.T @ m).tobytes()).hexdigest()
-    if inputs != P16_INPUT_SHA:
+    if inputs != input_sha:
         pytest.skip("scene or M'M bytes differ from the platform the digests come from")
 
     def digest(est):
         return hashlib.sha256(est.values.tobytes()).hexdigest()
 
-    assert digest(fcls(scene.endmembers, observed)) == P16_FCLS_SHA
-    cfg = default_config("pro-a", "gaussian", snr_db=10.0, max_iter=3, stop_tol=0.0)
-    assert digest(unmix(observed, scene.endmembers, cfg)[0]) == P16_UNMIX_SHA
+    assert digest(fcls(scene.endmembers, observed)) == fcls_sha
+    cfg = default_config("pro-a", "gaussian", snr_db=spec.snr_db, max_iter=max_iter,
+                         stop_tol=0.0)
+    assert digest(unmix(observed, scene.endmembers, cfg)[0]) == unmix_sha
+
+
+def test_grouping_keeps_the_recorded_p16_bytes():
+    # 16 endmembers on 32x32 pixels: up to 824 distinct free-set patterns in
+    # one sweep and over 7000 pattern groups across an fcls solve
+    spec = SceneSpec(rows=32, cols=32, endmembers=16, bands=48, snr_db=10.0)
+    _assert_recorded_bytes(spec, P16_INPUT_SHA, P16_FCLS_SHA, P16_UNMIX_SHA, 3)
+
+
+def test_loop_keeps_the_recorded_p5_bytes():
+    # the benchmark's batch-CLI path at small size: pro-a gaussian with
+    # warm starts, where most pixels sit on the full face and the rest
+    # form mixed free-set groups within one sweep
+    spec = SceneSpec(rows=64, cols=64, endmembers=5, bands=32, snr_db=20.0)
+    _assert_recorded_bytes(spec, P5_INPUT_SHA, P5_FCLS_SHA, P5_UNMIX_SHA, 5)
 
 
 def test_fcls_underdetermined_warns_but_solves():
