@@ -10,15 +10,15 @@ The column ordering is fixed once and used everywhere, including the binary
 cube file format: pixel ``n = col * rows + row``, i.e. pixels walk down each
 spatial column before moving to the next one.  This module is the only one
 that spells it out: :func:`fold` and :func:`unfold` wrap two array-level
-relabelings, which the unmixing loop calls directly on its plain arrays.
-Both are pure relabelings, so a round trip reproduces the input bit for bit.
+relabelings, which the unmixing loop and the scene generator call directly
+on plain arrays.  A round trip reproduces the input bit for bit.
 
-Both containers hold a read-only C-ordered float64 array.  An input that
-already is one and owns its data is adopted as-is, without a copy (the
-library marks the arrays it makes for a container read-only, so they
-exist once); any other input, a writeable array or a view included, is
-copied.  Every input is checked for NaN and Inf.  The abundance container
-of :mod:`pnpunmix.model` is a PixelMatrix with a simplex check on top.
+Both containers hold a read-only C-ordered float64 array, taken in by
+``_as_readonly_f64``, the one intake of every array container in the
+library.  An input that already is one and owns its data is adopted as-is,
+without a copy (the library marks the arrays it makes for a container
+read-only, so they exist once); any other input, a writeable array or a
+view included, is copied.  Every input is checked for NaN and Inf.
 """
 
 from __future__ import annotations

@@ -119,8 +119,7 @@ def gaussian_filter(volume: np.ndarray, sigma_spatial: float = 1.5) -> np.ndarra
     symmetric kernel (mode "nearest"), so the output matches it bit for
     bit.
     """
-    if sigma_spatial <= 0:
-        raise ValueError(f"sigma_spatial must be positive, got {sigma_spatial}")
+    _positive("sigma_spatial", sigma_spatial)
     volume = np.asarray(volume, dtype=np.float64)
     radius = max(int(np.ceil(3.0 * sigma_spatial)), 1)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -177,6 +176,9 @@ def nlm_filter(
     loop together, in blocks of up to BLOCK_PIXELS pixels (at least one
     channel), which bounds the temporaries to a few blocks.
     """
+    _count("patch_radius", patch_radius)
+    _count("search_radius", search_radius)
+    _positive("h_scale", h_scale)
     volume = np.asarray(volume, dtype=np.float64)
     h2 = (h_scale * sigma) ** 2
     if h2 == 0.0:
@@ -278,8 +280,7 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     (which can only lower the energy), so the returned energy never
     exceeds the input's.  sigma = 0 returns the input.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    _count("iters", iters)
     f = np.asarray(band, dtype=np.float64)
     mu = float(sigma)
     if mu == 0.0:

@@ -6,7 +6,8 @@ index fastest) next to a ``.hdr`` text sidecar naming shape and encoding.
 Abundances reuse the same container with one channel per endmember; reading
 them back applies a loosened sum-to-one tolerance because 32-bit storage
 rounds the fractions. Endmember spectra travel as plain CSV, maps as binary
-PGM, run parameters as flat ``key = value`` text.
+PGM. Sidecars and run configs share one ``key = value`` codec: write_config
+writes it, and read_config, which rejects duplicate and empty keys, reads it.
 
 Every reader raises FileFormatError with the offending path in the message;
 shape and content checks of the reconstructed objects are delegated to the
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import HsiCube, PixelMatrix, fold, unfold
+from .cube import HsiCube, PixelMatrix, _as_readonly_f64, fold, unfold
 from .errors import FileFormatError
 from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
 
@@ -43,10 +44,9 @@ STORED_ASC_TOL = 1e-5
 # float32 values per read of a cube payload (4 MiB)
 READ_CHUNK_VALUES = 1 << 20
 
-_HEADER_KEYS = ("channels", "rows", "cols", "dtype", "layout", "endianness")
-_DTYPE_TAG = "float32"
-_LAYOUT_TAG = "band-major"
-_ENDIAN_TAG = "little"
+# a sidecar's keys: the payload's shape, then its one supported encoding
+_ENCODING = {"dtype": "float32", "layout": "band-major", "endianness": "little"}
+_HEADER_KEYS = ("channels", "rows", "cols", *_ENCODING)
 
 
 def _sidecar(path: Path) -> Path:
@@ -57,15 +57,8 @@ def _write_pixels(path, matrix: PixelMatrix) -> None:
     """Write a :class:`PixelMatrix` as float32 payload plus ``.hdr``."""
     path = Path(path)
     payload = np.ascontiguousarray(matrix.values, dtype="<f4")
-    lines = [
-        f"channels = {matrix.values.shape[0]}",
-        f"rows = {matrix.spatial_rows}",
-        f"cols = {matrix.spatial_cols}",
-        f"dtype = {_DTYPE_TAG}",
-        f"layout = {_LAYOUT_TAG}",
-        f"endianness = {_ENDIAN_TAG}",
-    ]
-    _sidecar(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    shape = (matrix.channels, matrix.spatial_rows, matrix.spatial_cols)
+    write_config(_sidecar(path), dict(zip(_HEADER_KEYS, shape)) | _ENCODING)
     path.write_bytes(payload)
 
 
@@ -78,20 +71,11 @@ def _parse_sidecar(path: Path) -> tuple[int, int, int]:
     sidecar = _sidecar(path)
     if not sidecar.is_file():
         raise FileFormatError(f"{path}: missing sidecar {sidecar.name}")
-    fields = {}
-    for raw in sidecar.read_text(encoding="ascii").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FileFormatError(f"{sidecar}: malformed line {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    fields = read_config(sidecar)
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
         raise FileFormatError(f"{sidecar}: missing keys {missing}")
-    expected = {"dtype": _DTYPE_TAG, "layout": _LAYOUT_TAG, "endianness": _ENDIAN_TAG}
-    for key, tag in expected.items():
+    for key, tag in _ENCODING.items():
         if fields[key] != tag:
             raise FileFormatError(
                 f"{sidecar}: unsupported {key} {fields[key]!r}, expected {tag!r}"
@@ -204,11 +188,7 @@ def write_graymap(path, plane: np.ndarray) -> None:
     ties round up (0.5 maps to 128). Input is clamped, not rejected, with a
     warning only when it lies more than ANC_CLAMP (roundoff) outside [0, 1].
     """
-    arr = np.asarray(plane, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"graymap plane must be 2-d, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("graymap plane must be finite")
+    arr = _as_readonly_f64(plane, "graymap plane", 2)
     if arr.min() < -ANC_CLAMP or arr.max() > 1.0 + ANC_CLAMP:
         warnings.warn("graymap values outside [0, 1] clamped", stacklevel=2)
     arr = np.clip(arr, 0.0, 1.0)
@@ -265,8 +245,19 @@ def read_graymap(path) -> np.ndarray:
 
 
 def write_config(path, fields: dict) -> None:
-    """Flat ``key = value`` run-config text, one pair per line."""
-    lines = [f"{key} = {value}" for key, value in fields.items()]
+    """Flat ``key = value`` text, one pair per line, as read_config reads it.
+
+    A pair that would not read back as written raises ValueError: an empty
+    key, a key holding ``=`` or starting with ``#``, or a key or value
+    (as ``str``) with a line break or leading or trailing whitespace.
+    """
+    lines = []
+    for key, value in fields.items():
+        key, value = str(key), str(value)
+        if (not key or "=" in key or key.startswith("#")
+                or any(s != s.strip() or len(s.splitlines()) > 1 for s in (key, value))):
+            raise ValueError(f"config pair {key!r} = {value!r} would not read back")
+        lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -278,8 +269,12 @@ def read_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise FileFormatError(f"{path}: no such file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: not a text file") from None
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

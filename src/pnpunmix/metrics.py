@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,14 +99,7 @@ class MetricsReport:
     psnr_mse: float | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"reconstruction_error": self.reconstruction_error}
-        if self.rmse is not None:
-            out["rmse"] = self.rmse
-        if self.psnr is not None:
-            out["psnr"] = self.psnr
-            out["psnr_peak"] = self.psnr_peak
-            out["psnr_mse"] = self.psnr_mse
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def evaluate(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import PixelMatrix
+from .cube import PixelMatrix, _as_readonly_f64
 from .errors import ShapeError
 
 __all__ = ["EndmemberMatrix", "AbundanceMatrix", "mix", "add_noise_snr"]
@@ -37,11 +37,7 @@ class EndmemberMatrix:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise ShapeError(f"endmembers must be 2-d, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("endmember spectra must be finite")
+        arr = _as_readonly_f64(self.values, "endmembers", 2)
         norms = np.linalg.norm(arr, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("endmember column is all zero")
@@ -51,7 +47,6 @@ class EndmemberMatrix:
                     raise ValueError(f"endmember columns {i} and {j} are identical")
         if arr.min() < 0.0 or arr.max() > 1.0:
             warnings.warn("endmember values fall outside [0, 1]", stacklevel=2)
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if self.names is not None:
             names = tuple(str(n) for n in self.names)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import PixelMatrix
+from .cube import PixelMatrix, _as_readonly_f64
 from .errors import ShapeError
 from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
 
@@ -69,17 +69,15 @@ class QpProblem:
     f: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=np.float64, order="C")
-        f = np.array(self.f, dtype=np.float64, order="C")
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        q = _as_readonly_f64(self.q, "q", 2)
+        f = _as_readonly_f64(self.f, "f", 1)
+        if q.shape[0] != q.shape[1]:
             raise ShapeError(f"q must be square, got shape {q.shape}")
         p = q.shape[0]
         if p < 1:
             raise ShapeError("empty problem")
         if f.shape != (p,):
             raise ShapeError(f"f must have shape ({p},), got {f.shape}")
-        if not (np.isfinite(q).all() and np.isfinite(f).all()):
-            raise ValueError("q and f must be finite")
         qmax = float(np.abs(q).max())
         if np.abs(q - q.T).max() > SYM_TOL * qmax:
             raise ValueError(f"q must be symmetric within {SYM_TOL:g} * max|q|")
@@ -90,7 +88,6 @@ class QpProblem:
                 f"(eigenvalue below {EIG_TOL:g} * max|q| found)"
             )
         q.setflags(write=False)
-        f.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "f", f)
 
@@ -119,9 +116,7 @@ class QpSolution:
     objective_trace: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=np.float64)
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _as_readonly_f64(self.a, "a", 1))
 
 
 def _lu_solve_cols(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cube import HsiCube, fold
+from .cube import HsiCube, _to_pixels, fold
 from .errors import ComputeError
 from .model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
 
@@ -162,12 +162,10 @@ def generate_abundances(
     # multiset of field values; reordering the planes then permutes the
     # output rows bitwise
     denom = np.sort(weights, axis=0).sum(axis=0, keepdims=True)
-    fractions = weights / denom
-    # (P, rows, cols) -> (P, pixels) in the same column-major pixel order
-    # the cube unfold uses
-    a = np.ascontiguousarray(
-        fractions.transpose(0, 2, 1).reshape(spec.endmembers, spec.pixels)
-    )
+    # pixel columns in the cube's order, written below and then marked
+    # read-only again, so the container adopts them without a copy
+    a = _to_pixels(weights / denom)
+    a.setflags(write=True)
 
     n_pure = int(round(spec.pure_pixel_fraction * spec.pixels))
     if n_pure > 0:
@@ -176,6 +174,7 @@ def generate_abundances(
         dominant = np.argmax(a[:, chosen], axis=0)
         a[:, chosen] = 0.0
         a[dominant, chosen] = 1.0
+    a.setflags(write=False)
     return AbundanceMatrix(a, spec.rows, spec.cols)
 
 

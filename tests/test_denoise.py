@@ -143,7 +143,7 @@ def _nlm_reference(band, sigma, patch_radius, search_radius, h_scale):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), lead=st.lists(st.integers(1, 4), max_size=2),
        rows=st.integers(1, 9), cols=st.integers(1, 9),
-       patch_radius=st.integers(0, 5), search_radius=st.integers(0, 6),
+       patch_radius=st.integers(1, 5), search_radius=st.integers(1, 6),
        scale=st.sampled_from([1.0, 1e-3, 1e3]), rel_sigma=st.floats(0.02, 1.0),
        block_planes=st.integers(1, 3))
 def test_nlm_volume_matches_band_reference(data, lead, rows, cols, patch_radius,
@@ -321,6 +321,33 @@ def test_denoiser_spec_validation():
 def test_denoiser_spec_rejects_non_positive_or_non_real_scale(value):
     with pytest.raises(ValueError, match="h_scale"):
         DenoiserSpec("nlm", {"h_scale": value})
+
+
+_FILTERS = {
+    "nlm": lambda img, **params: nlm_filter(img, 0.1, **params),
+    "gaussian": gaussian_filter,
+    "tv": lambda img, **params: tv_denoise(img, 0.1, **params),
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("nlm", "search_radius", -1),
+    ("nlm", "search_radius", 0),
+    ("nlm", "patch_radius", -1),
+    ("nlm", "patch_radius", 1.0),
+    ("nlm", "h_scale", float("nan")),
+    ("gaussian", "sigma_spatial", float("nan")),
+    ("gaussian", "sigma_spatial", float("inf")),
+    ("gaussian", "sigma_spatial", 0.0),
+    ("tv", "iters", 2.5),
+    ("tv", "iters", 0),
+])
+def test_public_filters_reject_what_the_registry_rejects(kind, key, value):
+    with pytest.raises(ValueError, match=key):
+        DenoiserSpec(kind, {key: value})
+    img = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+    with pytest.raises(ValueError, match=key):
+        _FILTERS[kind](img, **{key: value})
 
 
 def test_denoise_identity_exact():

@@ -55,16 +55,14 @@ class TestCubeFile:
     def test_sidecar_names_shape_and_encoding(self, tmp_path):
         path = tmp_path / "scene.raw"
         write_cube(path, f32_cube((2, 3, 4)))
-        text = (tmp_path / "scene.hdr").read_text()
-        for line in (
-            "channels = 2",
-            "rows = 3",
-            "cols = 4",
-            "dtype = float32",
-            "layout = band-major",
-            "endianness = little",
-        ):
-            assert line in text
+        assert (tmp_path / "scene.hdr").read_bytes() == (
+            b"channels = 2\n"
+            b"rows = 3\n"
+            b"cols = 4\n"
+            b"dtype = float32\n"
+            b"layout = band-major\n"
+            b"endianness = little\n"
+        )
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "scene.raw"
@@ -111,6 +109,24 @@ class TestCubeFile:
         hdr.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="rows"):
             read_cube(path)
+
+    def test_duplicate_sidecar_key_rejected(self, tmp_path):
+        path = tmp_path / "scene.raw"
+        write_cube(path, f32_cube((2, 3, 4)))
+        hdr = tmp_path / "scene.hdr"
+        hdr.write_text(hdr.read_text() + "rows = 3\n")
+        with pytest.raises(FileFormatError, match="duplicate key 'rows'") as err:
+            read_cube(path)
+        assert str(hdr) in str(err.value)
+
+    def test_binary_sidecar_names_its_path(self, tmp_path):
+        path = tmp_path / "scene.raw"
+        write_cube(path, f32_cube((2, 3, 4)))
+        hdr = tmp_path / "scene.hdr"
+        hdr.write_bytes(hdr.read_bytes() + b"\xff\n")
+        with pytest.raises(FileFormatError, match="not a text file") as err:
+            read_cube(path)
+        assert str(hdr) in str(err.value)
 
     def test_non_finite_payload_rejected(self, tmp_path):
         path = tmp_path / "scene.raw"
@@ -334,3 +350,44 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("note = a=b\n")
         assert read_config(path) == {"note": "a=b"}
+
+    def test_binary_file_names_its_path(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mode = pro-h\n\xff\n")
+        with pytest.raises(FileFormatError, match="not a text file") as err:
+            read_config(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("fields", [
+        {"a": "1\nb = 2"},
+        {"a": "1\rb"},
+        {"x=y": 3},
+        {"#k": 1},
+        {"": 1},
+        {" k": 1},
+        {"k": "v "},
+        {"k": "\tv"},
+    ], ids=repr)
+    def test_pair_that_would_not_read_back_rejected(self, tmp_path, fields):
+        with pytest.raises(ValueError, match="would not read back"):
+            write_config(tmp_path / "run.cfg", fields)
+
+
+def _config_text(forbid: str) -> st.SearchStrategy:
+    """Text without surrogates that a config line keeps as written."""
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    return text.filter(lambda t: t == t.strip() and len(t.splitlines()) <= 1
+                       and not any(c in t for c in forbid))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fields=st.dictionaries(
+    _config_text("=").filter(lambda k: k and not k.startswith("#")),
+    st.one_of(_config_text(""), st.integers(), st.floats()),
+    max_size=6,
+))
+def test_config_round_trips_as_strings(fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        write_config(path, fields)
+        assert read_config(path) == {k: str(v) for k, v in fields.items()}
