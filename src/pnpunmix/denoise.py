@@ -7,7 +7,7 @@ everything behind that step is interchangeable.  Built-ins: ``identity``
 (no prior), ``gaussian`` (separable blur, fixed spatial width), ``nlm``
 (non-local means with bandwidth h = h_scale * sigma), ``tv``
 (rudin-osher-fatemi model with weight mu = sigma, solved by dual
-projected gradient).  All are plain numpy; the module imports no scipy.
+projected gradient).  All are plain numpy, as is the whole package.
 
 Every built-in gives each channel what filtering that channel alone
 gives, with replicate borders, on one thread: ``nlm`` and ``gaussian``
@@ -21,6 +21,7 @@ cols) array, and the result is a new array of that shape.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -130,10 +131,12 @@ def gaussian_filter(volume: np.ndarray, sigma_spatial: float = 1.5) -> np.ndarra
 
 
 def _correlate_symmetric(
-    block: np.ndarray, kernel: np.ndarray, axis: int
+    block: np.ndarray, kernel: np.ndarray, axis: int, border: str = "edge"
 ) -> np.ndarray:
-    """Correlate one axis with a symmetric odd kernel, edge-replicated.
+    """Correlate one axis with a symmetric odd kernel.
 
+    The axis is extended by np.pad with mode ``border``: "edge" replicates
+    (correlate1d's "nearest"), "symmetric" mirrors (its "reflect").
     out = x * w_0, then out += (x_-j + x_+j) * w_j from the outermost tap
     j = r inward: the order and grouping of correlate1d's symmetric loop.
     """
@@ -141,7 +144,7 @@ def _correlate_symmetric(
     n = block.shape[axis]
     pad = [(0, 0)] * block.ndim
     pad[axis] = (r, r)
-    padded = np.pad(block, pad, mode="edge")
+    padded = np.pad(block, pad, mode=border)
 
     def shifted(j: int) -> np.ndarray:
         return padded[(slice(None),) * axis + (slice(r + j, r + j + n),)]
@@ -180,11 +183,17 @@ def nlm_filter(
     _count("search_radius", search_radius)
     _positive("h_scale", h_scale)
     volume = np.asarray(volume, dtype=np.float64)
-    h2 = (h_scale * sigma) ** 2
+    try:
+        h2 = (h_scale * sigma) ** 2
+    except OverflowError:  # h = inf: every weight is 1, a box mean
+        h2 = math.inf
     if h2 == 0.0:
         return volume.copy()
-    return _by_blocks(volume, lambda block: _nlm_block(
-        block, h2, patch_radius, search_radius))
+    # an ssd / h^2 that overflows (a subnormal h^2, say) gets the weight
+    # exp(-inf) = 0, its intended limit; the centre offset always weighs 1
+    with np.errstate(over="ignore"):
+        return _by_blocks(volume, lambda block: _nlm_block(
+            block, h2, patch_radius, search_radius))
 
 
 def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:

@@ -247,18 +247,19 @@ def read_graymap(path) -> np.ndarray:
 def write_config(path, fields: dict) -> None:
     """Flat ``key = value`` text, one pair per line, as read_config reads it.
 
-    A pair that would not read back as written raises ValueError: an empty
-    key, a key holding ``=`` or starting with ``#``, or a key or value
+    A pair that would not read back as written raises ValueError before
+    anything is written: an empty key, a key holding ``=`` or starting with
+    ``#``, a key whose ``str`` repeats an earlier key's, or a key or value
     (as ``str``) with a line break or leading or trailing whitespace.
     """
-    lines = []
+    lines = {}
     for key, value in fields.items():
         key, value = str(key), str(value)
-        if (not key or "=" in key or key.startswith("#")
+        if (not key or key in lines or "=" in key or key.startswith("#")
                 or any(s != s.strip() or len(s.splitlines()) > 1 for s in (key, value))):
             raise ValueError(f"config pair {key!r} = {value!r} would not read back")
-        lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines[key] = f"{key} = {value}"
+    Path(path).write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
 
 
 def read_config(path) -> dict[str, str]:

@@ -29,6 +29,7 @@ after one iteration.  The last iterate is returned with one
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -65,6 +66,11 @@ PRESETS: dict[tuple[str, str, int], tuple[float, float]] = {
 }
 
 
+# natural logs of the largest float and the smallest positive one
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(math.ulp(0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class PnpConfig:
     """Knobs of the unmixing loop.
@@ -83,6 +89,9 @@ class PnpConfig:
             early once ||HA - Z||_F / max(||Z||_F, 1e-12) falls below it.
             Zero disables the early stop and runs all max_iter rounds.
             The last iterate is returned, not a best-so-far.
+
+    Settings under which some rho_k or sigma_k with k < max_iter would not
+    be finite and positive are refused with a ValueError.
     """
 
     mode: str
@@ -108,6 +117,20 @@ class PnpConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
+        # rho_k = rho0 * alpha^k grows with k and sigma_k^2 = lam / rho_k
+        # shrinks, so k = 0 and k = max_iter - 1 bound both; compared in log
+        # space, where no bound overflows (no loop gets past sys.maxsize steps)
+        growth = min(self.max_iter - 1, sys.maxsize) * math.log(self.alpha)
+        if max(growth, math.log(self.rho0) + growth) > _LOG_MAX:
+            raise ValueError(f"alpha^k or rho_k = rho0 * alpha^k overflows by "
+                             f"k = max_iter - 1 (rho0 {self.rho0}, alpha "
+                             f"{self.alpha}, max_iter {self.max_iter})")
+        log_sigma0_sq = math.log(self.lam) - math.log(self.rho0)
+        if not (log_sigma0_sq <= _LOG_MAX and log_sigma0_sq - growth >= _LOG_MIN):
+            raise ValueError(f"sigma_k = sqrt(lambda / rho_k) is not finite and "
+                             f"positive for every k < max_iter (lambda {self.lam}, "
+                             f"rho0 {self.rho0}, alpha {self.alpha}, "
+                             f"max_iter {self.max_iter})")
 
 
 @dataclass(frozen=True)
@@ -238,8 +261,14 @@ def unmix(
             raise ComputeError("u-step produced non-finite values")
 
         tic = time.perf_counter()
-        q = mtm + rho_k * hth
-        fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = mtm + rho_k * hth
+            fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
+            # _solve_batch scales the QP by trace(Q), so that must be finite too
+            finite = all(np.isfinite(x).all() for x in (q, np.trace(q), fs))
+        if not finite:
+            raise ComputeError(
+                f"a-step: Q or f of the QP is not finite at rho_k = {rho_k:g}")
         a, sweeps, conv, shifted, _ = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
         if not np.isfinite(a).all():

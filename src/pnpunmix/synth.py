@@ -1,11 +1,13 @@
 """Synthetic hyperspectral scenes with exact ground truth.
 
 Abundance maps come from independent Gaussian random fields (white noise
-smoothed with a Gaussian kernel), pushed onto the unit simplex with a
-per-pixel softmax so non-negativity and sum-to-one hold by construction.
-A small share of pixels is then overwritten with pure basis vectors so the
-scene contains both mixed and pure material. Endmember spectra are smooth
-random bump mixtures kept mutually distinct by a spectral-angle floor.
+blurred as by scipy.ndimage.gaussian_filter, truncate-4 kernel, mirrored
+borders, bit for bit, so scenes keep their bytes), pushed onto the unit
+simplex with a per-pixel softmax so non-negativity and sum-to-one hold by
+construction. A small share of pixels is then overwritten with pure basis
+vectors so the scene contains both mixed and pure material. Endmember
+spectra are smooth random bump mixtures kept mutually distinct by a
+spectral-angle floor.
 
 Determinism: every artifact is a pure function of the scene seed. Child
 streams are split off with ``numpy.random.SeedSequence`` spawn keys so
@@ -24,6 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cube import HsiCube, _to_pixels, fold
+from .denoise import _correlate_symmetric
 from .errors import ComputeError
 from .model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
 
@@ -110,11 +113,15 @@ def _field_children(spec: SceneSpec) -> list[np.random.SeedSequence]:
 
 
 def _smooth_field(rng: np.random.Generator, rows: int, cols: int, sigma: float):
-    # imported here, so that importing the package loads no scipy
-    from scipy.ndimage import gaussian_filter
-
-    white = rng.standard_normal((rows, cols))
-    field = gaussian_filter(white, sigma=sigma, mode="reflect")
+    field = rng.standard_normal((rows, cols))
+    # rows, then columns; radius 0 is the identity (and sigma * sigma may underflow)
+    radius = int(4.0 * sigma + 0.5)
+    if radius:
+        x = np.arange(-radius, radius + 1)
+        kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
+        kernel /= kernel.sum()
+        for axis in (0, 1):
+            field = _correlate_symmetric(field, kernel, axis, border="symmetric")
     # smoothing shrinks the variance; restandardize so the softmax sees
     # comparable spread regardless of the kernel width
     spread = float(field.std())

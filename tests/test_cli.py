@@ -588,6 +588,37 @@ class TestExitCodes:
         assert code == 5
         assert "output writing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, code, stage", [
+        (["--mode", "pro-a", "--denoiser", "nlm", "--alpha", "1e300", "--max-iter", "3"],
+         2, "configuration"),
+        (["--mode", "pro-h", "--denoiser", "nlm", "--rho0", "1e-300", "--lam", "1e300"],
+         2, "configuration"),
+        (["--mode", "pro-h", "--denoiser", "tv", "--rho0", "1e308", "--lam", "1e308"],
+         4, "unmixing"),
+        (["--mode", "pro-a", "--denoiser", "tv", "--rho0", "1.5e308", "--lam", "1e308"],
+         4, "unmixing"),
+        (["--mode", "pro-h", "--denoiser", "nlm", "--lam", "5e-324"], 0, None),
+        (["--mode", "pro-h", "--denoiser", "nlm", "--rho0", "1", "--lam", "1e308"], 0, None),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
+    def test_extreme_schedule_exits_with_one_line(self, tmp_path, capsys, extra, code,
+                                                  stage):
+        # an 8x8, P=3, 6-band, 10 dB scene; warnings are errors in this suite,
+        # so a numpy overflow warning fails the test
+        scene = tmp_path / "scene"
+        assert main(["synth", "--rows", "8", "--cols", "8", "--endmembers", "3",
+                     "--bands", "6", "--snr-db", "10", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        argv = ["unmix", "--cube", str(scene / "noisy.raw"),
+                "--endmembers", str(scene / "endmembers.csv"),
+                "--out", str(tmp_path / "o"), *extra]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if stage is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"pnpunmix: error [{stage}]: ")
+            assert err.count("\n") == 1
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()

@@ -221,6 +221,20 @@ def test_nlm_preserves_strong_edge():
     assert np.abs(out - clean).max() < 0.05
 
 
+def test_nlm_subnormal_h2_keeps_only_the_centre_weight():
+    # h^2 = (10 * 1e-162)^2 is subnormal: every ssd / h^2 off the centre
+    # overflows to a weight of exp(-inf) = 0, with no warning
+    img = np.random.default_rng(4).uniform(size=(10, 10))
+    assert_array_equal(nlm_filter(img, 1e-162), img)
+
+
+def test_nlm_overflowing_h2_is_a_box_mean():
+    # h^2 = (10 * 1e160)^2 is beyond the float range: every weight is 1
+    img = np.random.default_rng(4).uniform(size=(10, 10))
+    want = ndimage.uniform_filter(img, size=11, mode="nearest")
+    assert_allclose(nlm_filter(img, 1e160), want, rtol=0, atol=1e-12)
+
+
 def test_nlm_zero_sigma_returns_input():
     rng = np.random.default_rng(4)
     img = rng.uniform(size=(10, 10))

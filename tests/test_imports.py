@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and
-importing the package and its command line loads no scipy.
+"""Every name a library module imports is used in that module, and the
+package runs on numpy alone: scenes and all four subcommands work with
+scipy unimportable.
 
 ``__init__.py`` is skipped: it imports names only to re-export them.
 Names listed in a module's ``__all__`` count as used.
@@ -53,13 +54,36 @@ def test_no_unused_imports(path):
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
-def test_import_loads_no_scipy():
-    # scipy is needed only by make_scene; a fresh interpreter shows what
-    # importing alone pulls in, whatever this test session imported
-    probe = ("import sys, pnpunmix, pnpunmix.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+# a fresh interpreter in which any scipy import fails, whatever this test
+# session imported; it makes a scene and runs every subcommand on it
+NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None
+from pnpunmix import SceneSpec, make_scene
+from pnpunmix.cli import main
+make_scene(SceneSpec(rows=8, cols=8, endmembers=3, bands=6))
+s = sys.argv[1] + "/scene/"
+runs = [
+    ["synth", "--rows", "8", "--cols", "8", "--endmembers", "3", "--bands", "6",
+     "--out", s],
+    ["unmix", "--cube", s + "noisy.raw", "--endmembers", s + "endmembers.csv",
+     "--truth", s + "truth.raw", "--mode", "pro-h", "--denoiser", "nlm",
+     "--max-iter", "2", "--out", sys.argv[1] + "/est"],
+    ["eval", "--estimate", sys.argv[1] + "/est/abundances.raw", "--endmembers",
+     s + "endmembers.csv", "--observed", s + "noisy.raw", "--truth", s + "truth.raw",
+     "--clean", s + "clean.raw"],
+]
+runs += [["denoise", "--input", s + "noisy.raw", "--kind", kind, "--sigma", "0.05",
+          "--out", sys.argv[1] + "/" + kind + ".raw"] for kind in ("gaussian", "nlm", "tv")]
+print([main(argv) for argv in runs])
+"""
+
+
+def test_scene_and_subcommands_run_without_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", proc.stderr
+    assert proc.stderr == ""

@@ -367,10 +367,12 @@ class TestConfigFile:
         {" k": 1},
         {"k": "v "},
         {"k": "\tv"},
+        {1: "a", "1": "b"},
     ], ids=repr)
     def test_pair_that_would_not_read_back_rejected(self, tmp_path, fields):
         with pytest.raises(ValueError, match="would not read back"):
             write_config(tmp_path / "run.cfg", fields)
+        assert not (tmp_path / "run.cfg").exists()
 
 
 def _config_text(forbid: str) -> st.SearchStrategy:

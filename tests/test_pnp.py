@@ -388,6 +388,37 @@ def test_config_validation():
             PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("settings, match", [
+    (dict(rho0=10.0, alpha=1e300, max_iter=3), "alpha\\^k"),
+    # rho_2 = 1e300 is finite, but the loop's alpha^2 is not
+    (dict(rho0=1e-300, alpha=1e300, max_iter=3, lam=1e-300), "alpha\\^k"),
+    (dict(alpha=1.0 + 2**-52, max_iter=10**400), "alpha\\^k"),
+    (dict(rho0=1e-300, lam=1e300), "sigma_k"),
+    (dict(rho0=1e300, lam=1e-300), "sigma_k"),
+    # sigma_0 is positive, sigma_4 = sqrt(1e-300 / 1e40) is not
+    (dict(lam=1e-300, alpha=1e10, max_iter=5), "sigma_k"),
+], ids=["rho_k", "alpha^k", "long run", "sigma_0 inf", "sigma_0 zero", "sigma_4 zero"])
+def test_config_refuses_a_schedule_the_loop_cannot_run(settings, match):
+    with pytest.raises(ValueError, match=match):
+        PnpConfig(**{"mode": "pro-a", "denoiser": DenoiserSpec("identity"), "rho0": 1.0,
+                     "lam": 1e-3, **settings})
+
+
+@pytest.mark.parametrize("settings", [
+    dict(lam=5e-324),
+    dict(lam=1e308),
+    dict(rho0=1e-300, alpha=1e150, max_iter=3, lam=1e-200),
+    dict(max_iter=10**400),
+], ids=["lam subnormal", "lam huge", "alpha^k near the top", "max_iter beyond floats"])
+def test_config_accepts_extreme_but_runnable_schedules(settings):
+    cfg = PnpConfig(**{"mode": "pro-a", "denoiser": DenoiserSpec("identity"),
+                       "rho0": 1.0, "lam": 1e-3, **settings})
+    for k in range(min(cfg.max_iter, 5)):
+        rho_k = cfg.rho0 * cfg.alpha**k
+        sigma_k = math.sqrt(cfg.lam / rho_k)
+        assert 0.0 < rho_k < math.inf and 0.0 < sigma_k < math.inf
+
+
 def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
     # one active-set sweep leaves the pixels with a pinned variable open
     monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)

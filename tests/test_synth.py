@@ -1,11 +1,19 @@
-"""Synthetic scene generator: simplex guarantees, determinism, calibration."""
+"""Synthetic scene generator: simplex guarantees, determinism, calibration.
 
+The abundance fields' blur is checked bit for bit against scipy's
+gaussian_filter, the reference the scenes were first drawn with.
+"""
+
+import hashlib
 import logging
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from pnpunmix.cube import unfold
 from pnpunmix.errors import ComputeError
@@ -13,6 +21,7 @@ from pnpunmix.qp import fcls
 from pnpunmix.synth import (
     Scene,
     SceneSpec,
+    _smooth_field,
     generate_abundances,
     generate_endmembers,
     make_scene,
@@ -119,6 +128,13 @@ class TestGenerateAbundances:
         )
         npt.assert_array_equal(permuted.values, base.values[perm])
 
+    def test_kernel_of_radius_zero_leaves_the_fields_unblurred(self):
+        # below sigma = 0.125 the kernel is the single tap 1, down to sigmas
+        # whose square underflows
+        tiny = generate_abundances(small_spec(field_smoothness=1e-200))
+        npt.assert_array_equal(
+            tiny.values, generate_abundances(small_spec(field_smoothness=0.1)).values)
+
     def test_wrong_seed_count_rejected(self):
         with pytest.raises(ValueError, match="field seeds"):
             generate_abundances(small_spec(), field_seeds=[0, 1])
@@ -216,3 +232,45 @@ class TestMakeScene:
         assert noise_a.size >= 100_000
         corr = float(np.corrcoef(noise_a, noise_b)[0, 1])
         assert abs(corr) < 0.01
+
+
+class _Plane:
+    """Stands in for the field's generator: hands out one given plane."""
+
+    def __init__(self, plane):
+        self.plane = plane
+
+    def standard_normal(self, shape):
+        assert shape == self.plane.shape
+        return self.plane.copy()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40), sigma=st.floats(0.2, 20.0),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_field_blur_is_scipy_gaussian_filter_bit_for_bit(rows, cols, sigma, log_scale,
+                                                        seed):
+    # kernel radii up to 80 exceed every plane here, so the mirrored
+    # borders fold back and forth across it
+    plane = 10.0**log_scale * np.random.default_rng(seed).standard_normal((rows, cols))
+    want = gaussian_filter(plane, sigma=sigma, mode="reflect")
+    want = (want - want.mean()) / max(float(want.std()), 1e-12)
+    npt.assert_array_equal(_smooth_field(_Plane(plane), rows, cols, sigma), want)
+
+
+# sha256 over noisy, clean, truth and endmembers of the proh-nlm benchmark
+# scene (SceneSpec() at 10 dB), as first drawn with scipy's blur
+BENCH_SCENE_SHA256 = {
+    0: "90d5b6ecf17b56e51e3219057f35c8fdb348a1c581bffbc2ab159567c9565657",
+    1: "248c2a26eff3dc766fa6b96256ae92033a17be5b0ca4a25f19b519ce6bc54f8a",
+    2: "35e4f067dd5d4535d2be530d95755dfc81d12290d76b02632b64e6cba20775b5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_SCENE_SHA256))
+def test_benchmark_scene_keeps_its_bytes(seed):
+    scene = make_scene(SceneSpec(snr_db=10.0, seed=seed))
+    digest = hashlib.sha256()
+    for part in (scene.noisy, scene.clean, scene.truth, scene.endmembers):
+        digest.update(np.ascontiguousarray(part.values).tobytes())
+    assert digest.hexdigest() == BENCH_SCENE_SHA256[seed]
