@@ -302,13 +302,16 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     for _ in range(iters):
         u = f + mu * _div(p1, p2)
         gx, gy = _grad(u)
-        p1 = p1 + (0.125 / mu) * gx
-        p2 = p2 + (0.125 / mu) * gy
-        norm = np.maximum(1.0, np.sqrt(p1**2 + p2**2))
-        p1 /= norm
-        p2 /= norm
-        cand = np.clip(f + mu * _div(p1, p2), lo, hi)
-        energy = _rof_energy(cand, f, mu)
+        # at a tiny mu the dual steps overflow, and then no candidate beats
+        # the input's energy, so the input is kept: the mu -> 0 limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            p1 = p1 + (0.125 / mu) * gx
+            p2 = p2 + (0.125 / mu) * gy
+            norm = np.maximum(1.0, np.sqrt(p1**2 + p2**2))
+            p1 /= norm
+            p2 /= norm
+            cand = np.clip(f + mu * _div(p1, p2), lo, hi)
+            energy = _rof_energy(cand, f, mu)
         if energy < best_energy:
             best, best_energy = cand, energy
     return best

@@ -38,7 +38,8 @@ class EndmemberMatrix:
 
     def __post_init__(self):
         arr = _as_readonly_f64(self.values, "endmembers", 2)
-        norms = np.linalg.norm(arr, axis=0)
+        with np.errstate(over="ignore"):  # an overflowing norm is not zero
+            norms = np.linalg.norm(arr, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("endmember column is all zero")
         for i in range(arr.shape[1]):
@@ -46,7 +47,7 @@ class EndmemberMatrix:
                 if np.array_equal(arr[:, i], arr[:, j]):
                     raise ValueError(f"endmember columns {i} and {j} are identical")
         if arr.min() < 0.0 or arr.max() > 1.0:
-            warnings.warn("endmember values fall outside [0, 1]", stacklevel=2)
+            warnings.warn("endmember values fall outside [0, 1]", stacklevel=3)
         object.__setattr__(self, "values", arr)
         if self.names is not None:
             names = tuple(str(n) for n in self.names)

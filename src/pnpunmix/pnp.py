@@ -23,7 +23,8 @@ until max_iter is reached or the relative primal residual
 against the consensus variable it was pulled toward, drops below
 stop_tol; the identity prior, whose fixed point is the start, stops
 after one iteration.  The last iterate is returned with one
-:class:`IterationRecord` per iteration.
+:class:`IterationRecord` per iteration.  The loop only forms each
+A-step's Q and f: :mod:`pnpunmix.qp` checks them and the result.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .cube import PixelMatrix, _to_pixels, _to_planes
 from .denoise import DenoiserSpec, _denoise_planes
 from .errors import ComputeError, ShapeError
 from .metrics import _rmse
-from .model import ASC_TOL, AbundanceMatrix, EndmemberMatrix
-from .qp import MODES, _solve_batch
+from .model import AbundanceMatrix, EndmemberMatrix
+from .qp import _least_squares, _solve_batch
 
 __all__ = [
     "PnpConfig",
@@ -51,6 +52,8 @@ __all__ = [
     "PRESETS",
     "default_config",
 ]
+
+MODES = ("pro-h", "pro-a")
 
 # (mode, denoiser kind, snr dB) -> (rho0, lambda); measured working points
 # for the shipped non-local means prior at the four standard noise levels
@@ -193,7 +196,8 @@ def _split_gap(h: np.ndarray, a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray,
     """
     ha = np.einsum("ij,jn->in", h, a)
     d = ha - z
-    gap = math.sqrt(np.sum(d * d)) / max(math.sqrt(np.sum(z * z)), 1e-12)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, no warning
+        gap = math.sqrt(np.sum(d * d)) / max(math.sqrt(np.sum(z * z)), 1e-12)
     return ha, gap
 
 
@@ -219,28 +223,20 @@ def unmix(
     Pixels whose QP missed the inner tolerance keep their last feasible
     value and are counted in each record's qp_unconverged; one summary
     warning at the end counts them and the least-squares start's misses.
-    Non-finite values anywhere raise ComputeError naming the step; any
-    exception the denoiser itself raises propagates unchanged.  Mismatched
-    shapes raise ShapeError before the first iteration.
+    Non-finite values raise ComputeError naming the z-step or the a-step
+    (the start included); any exception the denoiser itself raises
+    propagates unchanged.  Mismatched shapes raise ShapeError first.
     """
-    if observed.channels != endmembers.bands:
-        raise ShapeError(
-            f"{observed.channels} data channels vs {endmembers.bands} endmember bands"
-        )
-    m = endmembers.values
     rows, cols = observed.spatial_rows, observed.spatial_cols
     if truth is not None:
         grid = (truth.endmembers, truth.spatial_rows, truth.spatial_cols)
         if grid != (endmembers.count, rows, cols):
             raise ShapeError(f"truth (endmembers, rows, cols) {grid} vs data "
                              f"{(endmembers.count, rows, cols)}")
-    h = _split_operator(cfg.mode, m)
-    hth = h.T @ h
-    mtm = m.T @ m
-    mty = np.einsum("li,ln->in", m, observed.values)
-
-    a, _, conv, _, _ = _solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / endmembers.count))
-    start_bad = int((~conv).sum())
+    a, start_bad, mtm, mty = _least_squares(endmembers, observed)
+    h = _split_operator(cfg.mode, endmembers.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hth = h.T @ h
     ha = np.einsum("ij,jn->in", h, a)
     u = np.zeros_like(ha)
 
@@ -257,28 +253,12 @@ def unmix(
         z_seconds = time.perf_counter() - tic
 
         u = u + ha - z
-        if not np.isfinite(u).all():
-            raise ComputeError("u-step produced non-finite values")
-
         tic = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             q = mtm + rho_k * hth
             fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
-            # _solve_batch scales the QP by trace(Q), so that must be finite too
-            finite = all(np.isfinite(x).all() for x in (q, np.trace(q), fs))
-        if not finite:
-            raise ComputeError(
-                f"a-step: Q or f of the QP is not finite at rho_k = {rho_k:g}")
         a, sweeps, conv, shifted, _ = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
-        if not np.isfinite(a).all():
-            raise ComputeError("a-step produced non-finite abundances")
-        worst_sum = float(np.abs(a.sum(axis=0) - 1.0).max())
-        if worst_sum > ASC_TOL or a.min() < 0.0:
-            raise ComputeError(
-                f"a-step feasibility violated: sum deviation {worst_sum:.3e}, "
-                f"min entry {a.min():.3e}"
-            )
 
         ha, residual = _split_gap(h, a, z)
         records.append(IterationRecord(

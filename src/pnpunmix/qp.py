@@ -16,7 +16,11 @@ QP_TOL, the LU pivot cutoff and FACE_SHIFT measure against the problem's
 own scale: data in any units takes the same sweeps, and data scaled by a
 power of two gives the same bytes.  A singular face (rank-deficient Q) is
 retried once with FACE_SHIFT on its diagonal block, which is then
-positive definite for a PSD Q, so the retry always solves.
+positive definite for a PSD Q, so the retry always solves.  The batch
+solver alone checks each A-step (fcls, the loop's start, every loop
+iteration): a Q, trace(Q) or normalised f that is not finite, a
+trace(Q)/P too small for a finite power-of-two scale, and a non-finite
+or infeasible result raise ComputeError naming the a-step.
 
 Each sweep groups the open pixels by free-set pattern with one stable
 lexsort of their free flags packed by np.packbits (ceil(P/8) bytes, so
@@ -39,12 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import PixelMatrix, _as_readonly_f64
-from .errors import ShapeError
-from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
+from .errors import ComputeError, ShapeError
+from .model import ANC_CLAMP, ASC_TOL, AbundanceMatrix, EndmemberMatrix
 
 __all__ = ["QpProblem", "QpSolution", "solve_simplex_qp", "fcls"]
 
-MODES = ("pro-h", "pro-a")
 # QpProblem's asymmetry and eigenvalue limits, relative to max|q|
 SYM_TOL = 1e-10
 EIG_TOL = -1e-10
@@ -177,10 +180,16 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
     that hit the QP_MAX_SWEEPS budget, flagged in `converged`.
     """
     p, n = fs.shape
-    tr = float(np.trace(q))
-    scale = 2.0 ** -round(math.log2(tr / p)) if tr > 0.0 else 1.0
-    q = q * scale
-    nfs = fs * -scale  # -f, exactly: the face rhs is one gather of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = float(np.trace(q))
+        # log2(tr) - log2(p), since tr / p itself can underflow
+        e = -round(math.log2(tr) - math.log2(p)) if 0.0 < tr < math.inf else 0
+        if e > 1023:  # 2.0**e overflows
+            raise ComputeError(f"a-step: trace(Q)/P = 2^{-e} is too small to normalise")
+        scale = 2.0**e
+        q, nfs = q * scale, fs * -scale  # -f, exactly: the face rhs is one gather of it
+    if not (math.isfinite(tr) and np.isfinite(q).all() and np.isfinite(nfs).all()):
+        raise ComputeError("a-step: Q or f of the QP is not finite")
     a = np.array(a0, dtype=np.float64)
     free = np.pad(a.T > 0.0, ((0, 0), (0, -p % 8)))  # a row per pixel, whole bytes
     done = np.full(n, p == 1)  # one endmember: a0 = 1 is the only feasible point
@@ -255,6 +264,14 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
         if trace:
             trace_vals.append(float(_objective_cols(q, -nfs, a)[0]) / scale)
 
+    if not np.isfinite(a).all():
+        raise ComputeError("a-step produced non-finite abundances")
+    worst_sum = float(np.abs(a.sum(axis=0) - 1.0).max())
+    if worst_sum > ASC_TOL or a.min() < 0.0:
+        raise ComputeError(
+            f"a-step feasibility violated: sum deviation {worst_sum:.3e}, "
+            f"min entry {a.min():.3e}"
+        )
     return a, iters, done, shifted, trace_vals
 
 
@@ -267,7 +284,8 @@ def solve_simplex_qp(
     within a factor of sqrt(2) of 1), not to the data's units; the
     returned kkt_residual and objective_trace are in the caller's units.
     Hitting the QP_MAX_SWEEPS budget returns the last (always feasible)
-    iterate with converged=False.
+    iterate with converged=False; a q too small to normalise raises
+    ComputeError.
 
     Args:
         problem: validated QP data.
@@ -300,6 +318,20 @@ def solve_simplex_qp(
     )
 
 
+def _least_squares(endmembers: EndmemberMatrix, observed: PixelMatrix):
+    """FCLS from the barycentre, for fcls and the loop: (a, misses, M'M, M'Y)."""
+    if observed.channels != endmembers.bands:
+        raise ShapeError(
+            f"{observed.channels} data channels vs {endmembers.bands} endmember bands"
+        )
+    m = endmembers.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        mtm = m.T @ m
+        mty = np.einsum("li,ln->in", m, observed.values)
+    a, _, conv, _, _ = _solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / endmembers.count))
+    return a, int((~conv).sum()), mtm, mty
+
+
 def fcls(endmembers: EndmemberMatrix, observed: PixelMatrix) -> AbundanceMatrix:
     """Fully constrained least squares: best simplex abundances per pixel.
 
@@ -307,25 +339,18 @@ def fcls(endmembers: EndmemberMatrix, observed: PixelMatrix) -> AbundanceMatrix:
     non-negativity and sum-to-one constraints.  Warns if some pixels do
     not reach QP_TOL within the QP_MAX_SWEEPS budget (their last
     feasible iterate is still returned) and when the problem is
-    underdetermined.
+    underdetermined.  Gram products M'M, M'Y outside the float range
+    raise ComputeError naming the a-step, as in the loop.
     """
-    if observed.channels != endmembers.bands:
-        raise ShapeError(
-            f"{observed.channels} data channels vs {endmembers.bands} endmember bands"
-        )
+    a, bad, _, _ = _least_squares(endmembers, observed)
     if endmembers.bands < endmembers.count:
         warnings.warn(
             "fewer bands than endmembers; least-squares solution may be non-unique",
             stacklevel=2,
         )
-    m = endmembers.values
-    fs = -np.einsum("li,ln->in", m, observed.values)
-    a0 = np.full(fs.shape, 1.0 / endmembers.count)
-    a, _, conv, _, _ = _solve_batch(m.T @ m, fs, a0)
-    bad = int((~conv).sum())
     if bad:
         warnings.warn(
-            f"{bad} of {conv.size} pixels did not reach the QP tolerance",
+            f"{bad} of {a.shape[1]} pixels did not reach the QP tolerance",
             stacklevel=2,
         )
     return AbundanceMatrix(a, observed.spatial_rows, observed.spatial_cols)

@@ -1,12 +1,18 @@
 """Command line: artifacts, config merging, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnpunmix.cli import main
 from pnpunmix.cube import PixelMatrix, fold, unfold
@@ -619,6 +625,82 @@ class TestExitCodes:
             assert err.startswith(f"pnpunmix: error [{stage}]: ")
             assert err.count("\n") == 1
 
+    def test_endmembers_too_bright_for_the_a_step_exit_4(self, tmp_path, capsys):
+        # the scene's endmember CSV scaled by 1e160: M'M overflows in the
+        # least-squares start, which the A-step refuses
+        scene = tmp_path / "scene"
+        assert main(["synth", "--rows", "8", "--cols", "8", "--endmembers", "3",
+                     "--bands", "6", "--snr-db", "10", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        with open(scene / "endmembers.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        with open(tmp_path / "bright.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + [[repr(float(v) * 1e160) for v in row]
+                                                 for row in rows])
+        with pytest.warns(UserWarning, match=r"outside \[0, 1\]"):
+            code = main(["unmix", "--cube", str(scene / "noisy.raw"),
+                         "--endmembers", str(tmp_path / "bright.csv"),
+                         "--out", str(tmp_path / "o"), "--mode", "pro-h"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [unmixing]: a-step: ")
+        assert err.count("\n") == 1
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+
+BUILT_IN_DENOISERS = ("identity", "gaussian", "nlm", "tv")
+QP_MISS_SUMMARY = "of the least-squares start missed the inner tolerance"
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "scene"
+    assert main(["synth", "--rows", "8", "--cols", "8", "--endmembers", "3",
+                 "--bands", "6", "--snr-db", "10", "--out", str(out)]) == 0
+    return out
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda x: 2.0**x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(["pro-h", "pro-a"]),
+    denoiser=st.sampled_from(BUILT_IN_DENOISERS),
+    rho0=_log_uniform(-1074.0, 1023.99),
+    lam=_log_uniform(-1074.0, 1023.99),
+    alpha=st.floats(0.0, 300.0).map(lambda x: 10.0**x),
+    max_iter=st.integers(1, 5),
+)
+# tv at sigma = 1e-160, where its dual steps overflow
+@example(mode="pro-a", denoiser="tv", rho0=1.0, lam=1e-320, alpha=1.0, max_iter=1)
+def test_any_loop_setting_unmixes_or_exits_with_one_line(tiny_scene, mode, denoiser,
+                                                         rho0, lam, alpha, max_iter):
+    # every setting the command line takes: exit 0, 2 or 4, at most one
+    # stderr line naming the stage, and no warning but the QP-miss summary
+    out = tiny_scene.parent / "run"
+    argv = ["unmix", "--cube", str(tiny_scene / "noisy.raw"),
+            "--endmembers", str(tiny_scene / "endmembers.csv"), "--out", str(out),
+            "--mode", mode, "--denoiser", denoiser, "--rho0", repr(rho0),
+            "--lam", repr(lam), "--alpha", repr(alpha), "--max-iter", str(max_iter)]
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 4), err.getvalue()
+    for w in caught:
+        assert QP_MISS_SUMMARY in str(w.message), str(w.message)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and (code == 0) == (lines == []), lines
+    if lines:
+        assert lines[0].startswith(("pnpunmix: error [configuration]: ",
+                                    "pnpunmix: error [unmixing]: ")), lines[0]
+    else:
+        estimate = read_abundances(out / "abundances.raw")
+        assert estimate.values.min() >= 0.0
+        assert np.abs(estimate.values.sum(axis=0) - 1.0).max() <= estimate.asc_tol

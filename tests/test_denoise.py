@@ -269,6 +269,14 @@ def test_tv_tiny_sigma_is_identity():
     assert np.abs(out - img).max() < 1e-6
 
 
+@pytest.mark.parametrize("sigma", [1e-162, 1e-300, 5e-324])
+def test_tv_sigma_too_small_for_the_dual_steps_returns_the_input(sigma):
+    # the dual steps overflow; no candidate beats the input's energy, so
+    # the input comes back bit for bit, and no numpy warning escapes
+    img = np.random.default_rng(6).uniform(size=(8, 8))
+    assert_array_equal(tv_denoise(img, sigma), img)
+
+
 def test_tv_maximum_principle():
     rng = np.random.default_rng(7)
     img = rng.standard_normal((20, 20))

@@ -48,6 +48,20 @@ def test_endmember_validation():
     assert any("0, 1" in str(w.message) for w in caught)
 
 
+def test_huge_column_warns_once_at_the_caller():
+    # the column norm overflows to inf, which is not zero: no numpy warning,
+    # and the range warning points at this file, not the dataclass __init__
+    with pytest.warns(UserWarning, match=r"outside \[0, 1\]") as caught:
+        EndmemberMatrix(np.array([[1e160, 0.2], [1e160, 0.4]]))
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_column_whose_norm_underflows_is_all_zero():
+    # accepting it would let M'M underflow to 0 and the QP pick a vertex
+    with pytest.raises(ValueError, match="all zero"):
+        EndmemberMatrix(np.array([[1e-170, 0.2], [1e-170, 0.4]]))
+
+
 def test_endmember_names():
     em = EndmemberMatrix(np.eye(2), names=("soil", "water"))
     assert em.names == ("soil", "water")

@@ -6,16 +6,18 @@ proximal-point iteration for the constrained least-squares objective, so
 with a small coupling weight the result must match fcls.
 """
 
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -536,3 +538,57 @@ def test_default_config_infinite_snr_falls_back_nan_rejected():
     assert (cfg.rho0, cfg.lam) == (1.0, 1e-3)
     with pytest.raises(ValueError, match="snr_db"):
         default_config("pro-h", "nlm", snr_db=float("nan"))
+
+
+@functools.cache
+def _scale_scene():
+    # an 8x8, P=3, 6-band, 10 dB scene and its fcls bytes at c = 1
+    scene = make_scene(SceneSpec(rows=8, cols=8, endmembers=3, bands=6, snr_db=10.0))
+    m, y = scene.endmembers.values, unfold(scene.noisy).values
+    return m, y, fcls(scene.endmembers, unfold(scene.noisy)).values
+
+
+SOLVERS = ["fcls"] + [f"{mode} {kind}" for mode in ("pro-h", "pro-a")
+                      for kind in ("nlm", "tv", "gaussian")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(-1074, 1023), solver=st.sampled_from(SOLVERS))
+@example(k=-1074, solver="fcls")
+@example(k=-530, solver="fcls")
+@example(k=509, solver="pro-h gaussian")
+@example(k=512, solver="pro-h nlm")
+@example(k=1023, solver="pro-a tv")
+def test_a_step_contract_holds_at_every_data_scale(k, solver):
+    # M and Y scaled by c = 2^k: the containers refuse the data, the A-step
+    # refuses its QP with a ComputeError naming it, or the abundances are on
+    # the simplex.  fcls keeps the c = 1 bytes until M'M goes subnormal
+    # (about 2^-1020, so k < -510)
+    m, y, base = _scale_scene()
+    with np.errstate(over="ignore", under="ignore"):
+        cm, cy = 2.0**k * m, 2.0**k * y
+
+    def outcome():
+        try:
+            em, observed = EndmemberMatrix(cm), PixelMatrix(cy, 8, 8)
+        except ValueError:
+            return None
+        try:
+            if solver == "fcls":
+                return fcls(em, observed)
+            mode, kind = solver.split()
+            return unmix(observed, em, default_config(mode, kind, max_iter=3))[0]
+        except ComputeError as exc:
+            assert str(exc).startswith("a-step"), str(exc)
+            return None
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = outcome()
+    for w in caught:
+        assert str(w.message) == "endmember values fall outside [0, 1]", str(w.message)
+    if est is not None:
+        assert est.values.min() >= 0.0
+        assert np.abs(est.values.sum(axis=0) - 1.0).max() <= 1e-8
+        if solver == "fcls" and abs(k) <= 500:
+            assert_array_equal(est.values, base)
