@@ -2,8 +2,9 @@
 
 Runs both plug-and-play modes with the non-local means prior on a heavy
 noise scene and prints how much of the baseline's abundance error the
-prior removes.  The spectral mode filters reconstructed band images
-inside the loop; the abundance mode filters the abundance planes
+prior removes.  The spectral mode filters the P coefficient images of
+the reconstructed spectra in an orthonormal basis of the endmembers'
+span inside the loop; the abundance mode filters the abundance planes
 themselves.
 """
 

@@ -8,9 +8,10 @@ Four subcommands cover the whole workflow:
   denoise  apply one of the registered denoisers to a cube
 
 The unmix command reads its settings from an optional flat config file
-(``key = value`` lines); every key is also a command line flag, and flags
-override the file; loop settings given neither way take the defaults of
-``default_config``. Everything is a pure function of argv and files.
+(``key = value`` lines); every key ``k`` is also the flag ``--k`` (``_``
+written ``-``), and flags override the file; loop settings given neither
+way take the defaults of ``default_config``. It always writes the same
+artifact set. Everything is a pure function of argv and files.
 
 Exit codes: 0 success, 1 unexpected error inside a stage, 2 usage/config/
 file format, 3 shape mismatch, 4 numerical failure, 5 filesystem error.
@@ -80,15 +81,6 @@ def _phase(name: str):
         raise
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_number(text: str):
     try:
         return int(text)
@@ -138,9 +130,6 @@ _UNMIX_OPTS = (
     _Opt("alpha", float, help="penalty growth factor per iteration"),
     _Opt("max_iter", int, help="iteration budget"),
     _Opt("stop_tol", float, help="relative primal residual stop"),
-    _Opt("emit_maps", _parse_bool, default=True, help="write per-endmember maps"),
-    _Opt("emit_trace", _parse_bool, default=True, help="write per-iteration trace"),
-    _Opt("emit_metrics", _parse_bool, default=True, help="write metrics JSON"),
 )
 
 _DENOISER_KEY_PREFIX = "denoiser."
@@ -237,16 +226,12 @@ def cmd_unmix(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_abundances(out_dir / ABUNDANCE_FILE, estimate)
         _write_pixels(out_dir / RECONSTRUCTION_FILE, reconstruction)
-        if settings["emit_metrics"]:
-            (out_dir / METRICS_FILE).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n"
-            )
-        if settings["emit_trace"]:
-            _write_trace(out_dir / TRACE_FILE, state)
-        if settings["emit_maps"]:
-            planes = fold(estimate).values
-            for i in range(planes.shape[0]):
-                write_graymap(out_dir / f"map_{i}.pgm", planes[i])
+        text = json.dumps(record, sort_keys=True, indent=2)
+        (out_dir / METRICS_FILE).write_text(text + "\n")
+        _write_trace(out_dir / TRACE_FILE, state)
+        planes = fold(estimate).values.clip(0.0, 1.0)  # drop the simplex slack
+        for i in range(planes.shape[0]):
+            write_graymap(out_dir / f"map_{i}.pgm", planes[i])
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
@@ -303,16 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     unmix_p = sub.add_parser("unmix", help="estimate abundances for a cube")
     unmix_p.add_argument("--config", help="flat key = value settings file")
     for opt in _UNMIX_OPTS:
-        if opt.convert is _parse_bool:
-            unmix_p.add_argument(
-                "--no-" + opt.key.replace("emit_", "").replace("_", "-"),
-                dest=opt.key, action="store_const", const=False, default=None,
-                help="suppress " + opt.help.replace("write ", ""),
-            )
-        else:
-            unmix_p.add_argument(
-                opt.flag, dest=opt.key, type=opt.convert, default=None, help=opt.help
-            )
+        unmix_p.add_argument(opt.flag, dest=opt.key, type=opt.convert, help=opt.help)
     unmix_p.add_argument(
         "--denoiser-param", action="append", metavar="KEY=VALUE",
         help="denoiser parameter; repeatable (config file: denoiser.<key>)",

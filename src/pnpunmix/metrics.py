@@ -40,8 +40,9 @@ def _squared_error(
         raise ShapeError(
             f"pixel matrix shapes differ: {a.values.shape} vs {b.values.shape}"
         )
-    out = np.subtract(a.values, b.values, out=out)
-    return np.square(out, out=out)
+    with np.errstate(over="ignore"):  # an error past the float range reads inf
+        out = np.subtract(a.values, b.values, out=out)
+        return np.square(out, out=out)
 
 
 def _psnr_parts(
@@ -58,7 +59,7 @@ def _psnr_parts(
     mse = float(np.sum(sq) / estimate.pixels)
     if mse == 0.0:
         return peak, mse, math.inf
-    if peak <= 0.0:
+    if peak <= 0.0 or mse == math.inf:
         return peak, mse, -math.inf
     return peak, mse, 10.0 * math.log10(peak * peak / mse)
 

@@ -19,12 +19,12 @@ schedule is exact) refreshes Z before the A-step:
     A      <- per-pixel QP, Q = M'M + rho_k H'H, f = -(M'y + rho_k H'(Z - U))
 
 until max_iter is reached or the relative primal residual
-||H A - Z||_F / max(||Z||_F, 1e-12), taken right after the A-step
-against the consensus variable it was pulled toward, drops below
-stop_tol; the identity prior, whose fixed point is the start, stops
-after one iteration.  The last iterate is returned with one
-:class:`IterationRecord` per iteration.  The loop only forms each
-A-step's Q and f: :mod:`pnpunmix.qp` checks them and the result.
+||H A - Z||_F / ||Z||_F (0/0 = 0, x/0 = inf; free of the data's scale),
+taken right after the A-step against the consensus variable it was
+pulled toward, drops below stop_tol; the identity prior, whose fixed
+point is the start, stops after one iteration.  The last iterate is
+returned with one :class:`IterationRecord` per iteration.  The loop only
+forms each A-step's Q and f: :mod:`pnpunmix.qp` checks them and the result.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class PnpConfig:
             rho fixed, so the prior does not fade as the budget grows.
         max_iter: outer iteration budget K.
         stop_tol: relative primal residual threshold; the loop stops
-            early once ||HA - Z||_F / max(||Z||_F, 1e-12) falls below it.
+            early once ||HA - Z||_F / ||Z||_F (0/0 = 0, x/0 = inf), which
+            does not depend on the data's scale, falls below it.
             Zero disables the early stop and runs all max_iter rounds.
             The last iterate is returned, not a best-so-far.
 
@@ -189,15 +190,22 @@ def _split_operator(mode: str, m: np.ndarray) -> np.ndarray:
 
 
 def _split_gap(h: np.ndarray, a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """H A and the relative gap ||H A - Z||_F / max(||Z||_F, 1e-12).
+    """H A and the relative gap ||H A - Z||_F / ||Z||_F (0/0 = 0, x/0 = inf).
 
-    einsum and sqrt(sum(x*x)) make no BLAS call, so no BLAS worker
-    thread wakes up to spin through the next Z-step.
+    Should ||Z||^2 leave the normal range or ||D||^2 = ||H A - Z||^2
+    overflow, both are redone on D and Z times 2^-e, e = frexp(max|Z|)[1],
+    an exact scaling: the gap does not depend on the data's scale.  No
+    BLAS call is made, so no BLAS thread spins through the next Z-step.
     """
     ha = np.einsum("ij,jn->in", h, a)
     d = ha - z
     with np.errstate(over="ignore"):  # a sum past the float range is inf, no warning
-        gap = math.sqrt(np.sum(d * d)) / max(math.sqrt(np.sum(z * z)), 1e-12)
+        dd, zz = np.sum(d * d), np.sum(z * z)
+        if not sys.float_info.min <= zz < math.inf or dd == math.inf:
+            e = math.frexp(np.abs(z).max())[1]
+            d, z = np.ldexp(d, -e), np.ldexp(z, -e)
+            dd, zz = np.sum(d * d), np.sum(z * z)
+    gap = math.sqrt(dd) / math.sqrt(zz) if zz else (math.inf if dd else 0.0)
     return ha, gap
 
 

@@ -1,12 +1,16 @@
 """Command line: artifacts, config merging, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import shutil
+import tempfile
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnpunmix.cli import main
+from pnpunmix.cli import _UNMIX_OPTS, _build_parser, main
 from pnpunmix.cube import PixelMatrix, fold, unfold
 from pnpunmix.denoise import register_denoiser
 from pnpunmix.io import (
@@ -24,6 +28,7 @@ from pnpunmix.io import (
     read_endmembers,
     read_graymap,
     write_abundances,
+    write_config,
     write_cube,
     write_endmembers,
 )
@@ -235,13 +240,6 @@ class TestUnmixCommand:
             assert plane.shape == (12, 12)
         assert not (out / "map_3.pgm").exists()
 
-    def test_no_maps_flag_suppresses_them(self, scene_dir, tmp_path):
-        out = tmp_path / "run"
-        assert run_unmix(scene_dir, out, "--denoiser", "identity",
-                         "--max-iter", "2", "--no-maps") == 0
-        assert not (out / "map_0.pgm").exists()
-        assert (out / "metrics.json").exists()
-
     def test_config_file_supplies_settings_and_flags_override(
         self, scene_dir, tmp_path
     ):
@@ -255,19 +253,57 @@ class TestUnmixCommand:
                 "denoiser = identity",
                 "max_iter = 3",
                 "stop_tol = 0",
-                "emit_maps = false",
             ]) + "\n"
         )
         assert main(["unmix", "--config", str(cfg)]) == 0
         trace = (tmp_path / "from-file" / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 3
-        assert not (tmp_path / "from-file" / "map_0.pgm").exists()
+        assert read_graymap(tmp_path / "from-file" / "map_0.pgm").shape == (12, 12)
 
         override = tmp_path / "override"
         assert main(["unmix", "--config", str(cfg), "--out", str(override),
                      "--max-iter", "2"]) == 0
         trace = (override / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 2
+
+    def test_every_setting_has_one_name_as_key_and_flag(self, scene_dir, tmp_path,
+                                                        capsys):
+        # each setting k is the config key k and the flag --k, nothing else
+        values = {
+            "cube": scene_dir / "noisy.raw", "endmembers": scene_dir / "endmembers.csv",
+            "truth": scene_dir / "truth.raw", "clean": scene_dir / "clean.raw",
+            "mode": "pro-a", "denoiser": "gaussian", "snr_db": 10.0, "rho0": 0.5,
+            "lam": 0.25, "alpha": 1.5, "max_iter": 2, "stop_tol": 0.0,
+        }
+        assert set(values) | {"out"} == {opt.key for opt in _UNMIX_OPTS}
+        write_config(tmp_path / "all.cfg", {**values, "out": tmp_path / "file"})
+        assert main(["unmix", "--config", str(tmp_path / "all.cfg")]) == 0
+        flags = [x for key, value in values.items()
+                 for x in ("--" + key.replace("_", "-"), str(value))]
+        assert main(["unmix", *flags, "--out", str(tmp_path / "flags")]) == 0
+        names = {p.name for p in (tmp_path / "file").iterdir()}
+        assert names == {"abundances.raw", "abundances.hdr", "reconstruction.raw",
+                         "reconstruction.hdr", "metrics.json", "trace.csv",
+                         "map_0.pgm", "map_1.pgm", "map_2.pgm"}
+        for name in names:
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes()), name
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        offered = {s for a in sub.choices["unmix"]._actions for s in a.option_strings}
+        assert offered == ({opt.flag for opt in _UNMIX_OPTS}
+                           | {"--config", "--denoiser-param", "-h", "--help"})
+        capsys.readouterr()
+        for gone in ("--no-maps", "--no-trace", "--no-metrics"):
+            assert run_unmix(scene_dir, tmp_path / "gone", gone) == 2
+            assert gone in capsys.readouterr().err
+        cfg = tmp_path / "stale.cfg"
+        cfg.write_text("emit_maps = false\n")
+        assert run_unmix(scene_dir, tmp_path / "stale", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"pnpunmix: error [configuration]: unknown config key 'emit_maps' in {cfg}\n")
+        assert not (tmp_path / "gone").exists() and not (tmp_path / "stale").exists()
 
     def test_unknown_config_key_is_usage_error(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -653,6 +689,7 @@ class TestExitCodes:
 
 BUILT_IN_DENOISERS = ("identity", "gaussian", "nlm", "tv")
 QP_MISS_SUMMARY = "of the least-squares start missed the inner tolerance"
+ENDMEMBER_RANGE = "endmember values fall outside [0, 1]"
 
 
 @pytest.fixture(scope="module")
@@ -704,3 +741,134 @@ def test_any_loop_setting_unmixes_or_exits_with_one_line(tiny_scene, mode, denoi
         estimate = read_abundances(out / "abundances.raw")
         assert estimate.values.min() >= 0.0
         assert np.abs(estimate.values.sum(axis=0) - 1.0).max() <= estimate.asc_tol
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tiny_scene):
+    # the tiny scene plus an estimate for eval: its fcls abundances
+    estimate = fcls(read_endmembers(tiny_scene / "endmembers.csv"),
+                    unfold(read_cube(tiny_scene / "noisy.raw")))
+    write_abundances(tiny_scene / "estimate.raw", estimate)
+    return tiny_scene
+
+
+_PAYLOADS = ("noisy.raw", "clean.raw", "truth.raw", "estimate.raw")
+_SIDECARS = tuple(name.replace(".raw", ".hdr") for name in _PAYLOADS)
+_HDR_KEYS = ("channels", "rows", "cols", "dtype", "layout", "endianness", "extra")
+_TOKENS = ("1e3", "-3", "0", "1", "8", "64", "2.5", "float64", "big-endian",
+           "band-major", "nan", "inf", "-inf", "1e300", "0x10", "abc", "")
+_BAD_VALUES = (math.nan, math.inf, -math.inf, 3.4e38, -3.4e38, 1e20, 1e6, -1.0)
+_CORRUPTIONS = st.one_of(
+    st.tuples(st.sampled_from(_SIDECARS), st.just("line"),
+              st.sampled_from(_HDR_KEYS), st.sampled_from(_TOKENS)),
+    st.tuples(st.sampled_from(_PAYLOADS), st.sampled_from(["truncate", "extend"]),
+              st.integers(1, 40)),
+    st.tuples(st.sampled_from(_PAYLOADS), st.just("value"),
+              st.integers(0, 10**6), st.sampled_from(_BAD_VALUES)),
+    st.tuples(st.just("endmembers.csv"), st.just("cell"),
+              st.integers(0, 10**6), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("endmembers.csv"), st.just("drop"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(_PAYLOADS + _SIDECARS + ("endmembers.csv",)),
+              st.sampled_from(["empty", "missing"])),
+)
+
+
+def _corrupt(path, how, *args):
+    if how == "missing":
+        path.unlink()
+    elif how == "empty":
+        path.write_bytes(b"")
+    elif how in ("truncate", "extend"):
+        data = path.read_bytes()
+        n = args[0]
+        path.write_bytes(data[:-n] if how == "truncate" else data + b"\x01" * n)
+    elif how == "value":
+        payload = np.fromfile(path, dtype="<f4")
+        payload[args[0] % payload.size] = args[1]
+        payload.tofile(path)
+    elif how == "line":
+        key, token = args
+        lines = [ln for ln in path.read_text().splitlines()
+                 if ln.partition("=")[0].strip() != key]
+        path.write_text("\n".join(lines + [f"{key} = {token}"]) + "\n")
+    else:
+        rows = [ln.split(",") for ln in path.read_text().splitlines()]
+        if how == "drop":
+            del rows[args[0] % len(rows)]
+        else:
+            row = rows[args[0] % len(rows)]
+            row[args[0] // len(rows) % len(row)] = args[1]
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+
+
+_COMMANDS = ("eval",) + tuple(f"unmix {mode} {kind}" for mode in ("pro-h", "pro-a")
+                              for kind in ("identity", "gaussian"))
+_STAGE_BY_CODE = {
+    2: ("[input parsing]: ",),
+    3: ("[input parsing]: ", "[unmixing]: ", "[evaluation]: "),
+    4: ("[unmixing]: a-step",),
+}
+
+
+def _run_on_corrupted(inputs, tmp, command, corruption):
+    scene = tmp / "scene"
+    shutil.copytree(inputs, scene)
+    name, *how = corruption
+    _corrupt(scene / name, *how)
+    files = {"--endmembers": scene / "endmembers.csv", "--truth": scene / "truth.raw",
+             "--clean": scene / "clean.raw"}
+    if command == "eval":
+        argv = ["eval", "--estimate", scene / "estimate.raw",
+                "--observed", scene / "noisy.raw"]
+    else:
+        _, mode, kind = command.split()
+        argv = ["unmix", "--cube", scene / "noisy.raw", "--out", tmp / "out",
+                "--mode", mode, "--denoiser", kind, "--max-iter", "3"]
+    argv += [x for item in files.items() for x in item]
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(_COMMANDS), corruption=_CORRUPTIONS)
+# one hot pixel: the A-step cannot place it on the simplex (see below)
+@example(command="unmix pro-h gaussian", corruption=("noisy.raw", "value", 0, 1e20))
+# a reconstruction past the float range: eval reads its error as inf
+@example(command="eval", corruption=("endmembers.csv", "cell", 1, "1e300"))
+def test_any_corrupted_input_unmixes_or_exits_with_one_line(tiny_inputs, command,
+                                                           corruption):
+    # one input file of eval or unmix corrupted: a bad sidecar token, a
+    # payload off by 1-40 bytes, a non-finite or huge value, a bad CSV cell
+    # or row, an empty or a missing file
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, caught = _run_on_corrupted(tiny_inputs, Path(tmp), command, corruption)
+    # the one warning: spectra outside reflectance, from a corrupted CSV cell
+    allowed = [ENDMEMBER_RANGE] if corruption[:2] == ("endmembers.csv", "cell") else []
+    assert set(caught) <= set(allowed), caught
+    lines = err.splitlines()
+    assert len(lines) <= 1 and (code == 0) == (lines == []), (code, lines)
+    if lines:
+        assert code in _STAGE_BY_CODE, lines[0]
+        assert lines[0].startswith(tuple(f"pnpunmix: error {stage}"
+                                         for stage in _STAGE_BY_CODE[code])), lines[0]
+
+
+@pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
+def test_one_hot_pixel_aborts_the_run_with_exit_4(tiny_inputs, tmp_path, mode):
+    # one payload value of 1e20, far beyond the endmembers' scale: the A-step
+    # gives that pixel all-zero abundances and refuses them, so the whole run
+    # exits 4; at 1e8 the same run unmixes.  Pinned as it stands: a fix
+    # changes the A-step's arithmetic
+    run = f"unmix {mode} nlm"
+    code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path / "hot", run,
+                                          ("noisy.raw", "value", 0, 1e20))
+    assert (code, caught) == (4, [])
+    assert err == ("pnpunmix: error [unmixing]: a-step feasibility violated: "
+                   "sum deviation 1.000e+00, min entry 0.000e+00\n")
+    code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path / "warm", run,
+                                          ("noisy.raw", "value", 0, 1e8))
+    assert (code, err, caught) == (0, "", [])

@@ -70,6 +70,16 @@ def test_psnr_perfect_match_is_infinite():
     assert psnr(y, y) == math.inf
 
 
+@pytest.mark.parametrize("peak", [1e300, 1.0])
+def test_error_past_the_float_range_reads_inf_without_a_warning(peak):
+    # a squared error that overflows is inf, and so -inf dB of psnr, also
+    # when the peak's own square overflows; the suite makes warnings errors
+    est = PixelMatrix(np.array([[peak], [1e300]]), 1, 1)
+    ref = PixelMatrix(np.array([[0.0], [-1e300]]), 1, 1)
+    assert reconstruction_error(est, ref) == math.inf
+    assert psnr(est, ref) == -math.inf
+
+
 def test_reconstruction_error_hand_case():
     obs = PixelMatrix(np.array([[0.0], [0.0]]), 1, 1)
     rec = PixelMatrix(np.array([[0.5], [0.5]]), 1, 1)

@@ -592,3 +592,51 @@ def test_a_step_contract_holds_at_every_data_scale(k, solver):
         assert np.abs(est.values.sum(axis=0) - 1.0).max() <= 1e-8
         if solver == "fcls" and abs(k) <= 500:
             assert_array_equal(est.values, base)
+
+
+def _scaled_run(solver, k, law=True):
+    # M and Y scaled by c = 2^k; under the scaling law lambda goes with c^2,
+    # and rho0 too in pro-a (in pro-h, H = S V' already carries c)
+    m, y, _ = _scale_scene()
+    c = 2.0**k
+    mode, kind = solver.split()
+    cfg = default_config(mode, kind, max_iter=3)
+    if law:
+        rho0 = cfg.rho0 * c * c if mode == "pro-a" else cfg.rho0
+        cfg = default_config(mode, kind, max_iter=3, lam=cfg.lam * c * c, rho0=rho0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "endmember values fall outside")
+        est, state = unmix(PixelMatrix(c * y, 8, 8), EndmemberMatrix(c * m), cfg)
+    return est.values, [r.primal_residual for r in state.iterations]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(-456, 456), solver=st.sampled_from(SOLVERS[1:]))
+# the stop rule's old 1e-12 floor on ||Z||_F stopped these after one
+# iteration (-60) or changed their gaps (-44)
+@example(k=-60, solver="pro-h gaussian")
+@example(k=-44, solver="pro-h nlm")
+def test_stop_rule_gives_the_c1_run_under_the_scaling_law(k, solver):
+    # the default stop_tol decides here; the relative gap is a ratio of
+    # norms that scale alike, so every record and abundance keeps its bits
+    est, gaps = _scaled_run(solver, k)
+    base_est, base_gaps = _scaled_run(solver, 0)
+    assert gaps == base_gaps
+    assert_array_equal(est, base_est)
+
+
+@pytest.mark.parametrize("k", [509, 510])
+def test_stop_rule_survives_an_overflowing_norm(k):
+    # pro-h gaussian at c = 2^509 with the default settings: ||Z||^2
+    # overflows, which read as a zero gap and stopped after one iteration
+    _, gaps = _scaled_run("pro-h gaussian", k, law=False)
+    _, base_gaps = _scaled_run("pro-h gaussian", 0)
+    assert len(gaps) == len(base_gaps) == 3
+    assert_allclose(gaps, base_gaps, rtol=1e-12)
+
+
+def test_split_gap_reads_zero_over_zero_as_zero_and_x_over_zero_as_inf():
+    h = np.eye(2)
+    a = np.array([[0.5], [0.5]])
+    assert _split_gap(h, np.zeros_like(a), np.zeros_like(a))[1] == 0.0
+    assert _split_gap(h, a, np.zeros_like(a))[1] == math.inf
