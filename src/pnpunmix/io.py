@@ -132,23 +132,32 @@ def write_abundances(path, abundances: AbundanceMatrix) -> None:
     _write_pixels(path, abundances)
 
 
-def read_abundances(path, asc_tol: float = STORED_ASC_TOL) -> AbundanceMatrix:
-    return _read_pixels(path, partial(AbundanceMatrix, asc_tol=asc_tol))
+def read_abundances(path) -> AbundanceMatrix:
+    """Read abundances written by write_abundances, with STORED_ASC_TOL."""
+    return _read_pixels(path, partial(AbundanceMatrix, asc_tol=STORED_ASC_TOL))
 
 
 def write_endmembers(path, endmembers: EndmemberMatrix) -> None:
     """CSV with a header row of names, then one row per band.
 
     Values are printed with nine significant digits, comfortably inside
-    the 1e-6 round-trip contract.
+    the 1e-6 round-trip contract.  What read_endmembers would not read back
+    as written raises ValueError before anything is written: a name that is
+    empty, not ASCII, or holds a comma, a line break or leading or trailing
+    whitespace, and spectra that repeat a column once printed.
     """
     names = endmembers.names
     if names is None:
         names = tuple(f"em_{i}" for i in range(endmembers.count))
-    rows = [",".join(names)]
-    rows += [
-        ",".join(f"{v:.9g}" for v in band_row) for band_row in endmembers.values
-    ]
+    for name in names:
+        if (not name or not name.isascii() or "," in name or name != name.strip()
+                or len(name.splitlines()) > 1):
+            raise ValueError(f"endmember name {name!r} would not read back")
+    cells = [[f"{v:.9g}" for v in band_row] for band_row in endmembers.values]
+    with warnings.catch_warnings():  # the spectra's range warned when they were built
+        warnings.simplefilter("ignore")
+        EndmemberMatrix(np.array([[float(c) for c in row] for row in cells]))
+    rows = [",".join(names)] + [",".join(row) for row in cells]
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 

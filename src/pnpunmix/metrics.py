@@ -74,15 +74,9 @@ def psnr(estimate: PixelMatrix, reference: PixelMatrix) -> float:
     return _psnr_parts(estimate, reference)[2]
 
 
-def reconstruction_error(
-    observed: PixelMatrix, reconstruction: PixelMatrix, *, out: np.ndarray | None = None
-) -> float:
-    """Root mean square spectral residual between observation and model fit.
-
-    ``out``, if given, is a float64 scratch array of the matrices' shape
-    that receives the squared residuals instead of a fresh array.
-    """
-    return float(np.sqrt(np.mean(_squared_error(observed, reconstruction, out))))
+def reconstruction_error(observed: PixelMatrix, reconstruction: PixelMatrix) -> float:
+    """Root mean square spectral residual between observation and model fit."""
+    return float(np.sqrt(np.mean(_squared_error(observed, reconstruction))))
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def evaluate(
         reconstruction = mix(endmembers, estimate)
     # one (bands, pixels) scratch array for both squared-error sums
     scratch = np.empty(observed.values.shape)
-    re = reconstruction_error(observed, reconstruction, out=scratch)
+    re = float(np.sqrt(np.mean(_squared_error(observed, reconstruction, scratch))))
     r = rmse(truth, estimate) if truth is not None else None
     p = peak = pmse = None
     if clean is not None:

@@ -265,7 +265,7 @@ def unmix(
         with np.errstate(over="ignore", invalid="ignore"):
             q = mtm + rho_k * hth
             fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
-        a, sweeps, conv, shifted, _ = _solve_batch(q, fs, a)
+        a, sweeps, conv, shifted = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
 
         ha, residual = _split_gap(h, a, z)

@@ -51,12 +51,13 @@ __all__ = ["QpProblem", "QpSolution", "solve_simplex_qp", "fcls"]
 # QpProblem's asymmetry and eigenvalue limits, relative to max|q|
 SYM_TOL = 1e-10
 EIG_TOL = -1e-10
-# KKT residual target and active-set sweep budget of every solve, and the
-# diagonal shift of a singular face; fixed settings of the exact A-step,
-# the first and last in units of the normalised problem, read at call time
+# KKT residual target and active-set sweep budget of every solve, the
+# diagonal shift of a singular face, and the most a face optimum's sum may
+# miss 1; fixed settings of the exact A-step, read at call time
 QP_TOL = 1e-9
 QP_MAX_SWEEPS = 200
 FACE_SHIFT = 1e-10
+FACE_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +108,6 @@ class QpSolution:
     the max of the stationarity defect on the positive support and the
     multiplier violation on the zero set.  ``shifted`` notes that a
     singular face was solved with FACE_SHIFT on its diagonal.
-    ``objective_trace`` holds the objective after each active-set sweep,
-    starting value included; it is non-increasing.
     """
 
     a: np.ndarray
@@ -116,7 +115,6 @@ class QpSolution:
     iterations: int
     converged: bool
     shifted: bool = False
-    objective_trace: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_readonly_f64(self.a, "a", 1))
@@ -157,11 +155,6 @@ def _lu_solve_cols(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _objective_cols(q: np.ndarray, fs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    qa = np.einsum("ij,jn->in", q, a)
-    return 0.5 * np.einsum("in,in->n", a, qa) + np.einsum("in,in->n", fs, a)
-
-
 def _kkt_residuals(q: np.ndarray, fs: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Stationarity + multiplier defect at a, measured on the support of a."""
     g = np.einsum("ij,jn->in", q, a) + fs
@@ -172,10 +165,10 @@ def _kkt_residuals(q: np.ndarray, fs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.maximum(stat, np.maximum(dual, 0.0))
 
 
-def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = False):
+def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray):
     """Active-set solve of min a'Qa/2 + f'a on the simplex, one f per column.
 
-    Returns (a, iterations, converged, shifted, trace_list in caller units).
+    Returns (a, iterations, converged, shifted).
     All intermediate iterates are feasible; a is returned even for columns
     that hit the QP_MAX_SWEEPS budget, flagged in `converged`.
     """
@@ -195,7 +188,6 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
     done = np.full(n, p == 1)  # one endmember: a0 = 1 is the only feasible point
     iters = np.zeros(n, dtype=np.int64)
     shifted = np.zeros(n, dtype=bool)
-    trace_vals = [float(_objective_cols(q, -nfs, a)[0]) / scale] if trace else None
 
     for _ in range(QP_MAX_SWEEPS):
         todo = np.flatnonzero(~done)
@@ -226,6 +218,12 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
                 kmat[:nf, :nf] += FACE_SHIFT * np.eye(nf)
                 x = _lu_solve_cols(kmat, rhs)
             x, nu = x[:nf], x[nf]
+            # an f that dwarfs Q costs the sum row its digits: move those
+            # columns back onto it along the face
+            miss = 1.0 - x.sum(axis=0)
+            off = np.abs(miss) > FACE_SUM_TOL
+            if off.any():
+                x[:, off] += miss[off] / nf
             feas = x.min(axis=0) >= -ANC_CLAMP
             ipx, xw = px[~feas], x[:, ~feas]
             aw = a[:, ipx]  # where the pixels with an infeasible optimum start
@@ -261,8 +259,6 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
                 aw[fi] = anew
                 a[:, ipx] = aw
                 free[ipx, fi[block]] = False
-        if trace:
-            trace_vals.append(float(_objective_cols(q, -nfs, a)[0]) / scale)
 
     if not np.isfinite(a).all():
         raise ComputeError("a-step produced non-finite abundances")
@@ -272,7 +268,7 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray, trace: bool = Fa
             f"a-step feasibility violated: sum deviation {worst_sum:.3e}, "
             f"min entry {a.min():.3e}"
         )
-    return a, iters, done, shifted, trace_vals
+    return a, iters, done, shifted
 
 
 def solve_simplex_qp(
@@ -282,7 +278,7 @@ def solve_simplex_qp(
 
     QP_TOL applies to the power-of-two-normalised problem (trace(Q)/P
     within a factor of sqrt(2) of 1), not to the data's units; the
-    returned kkt_residual and objective_trace are in the caller's units.
+    returned kkt_residual is in the caller's units.
     Hitting the QP_MAX_SWEEPS budget returns the last (always feasible)
     iterate with converged=False; a q too small to normalise raises
     ComputeError.
@@ -305,16 +301,13 @@ def solve_simplex_qp(
             raise ValueError("warm start must lie on the unit simplex")
         w = np.maximum(w, 0.0)
         a0 = (w / w.sum())[:, None]
-    a, iters, conv, shifted, trace = _solve_batch(
-        problem.q, problem.f[:, None], a0, trace=True
-    )
+    a, iters, conv, shifted = _solve_batch(problem.q, problem.f[:, None], a0)
     return QpSolution(
         a=a[:, 0],
         kkt_residual=float(_kkt_residuals(problem.q, problem.f[:, None], a)[0]),
         iterations=int(iters[0]),
         converged=bool(conv[0]),
         shifted=bool(shifted[0]),
-        objective_trace=np.asarray(trace),
     )
 
 
@@ -328,7 +321,7 @@ def _least_squares(endmembers: EndmemberMatrix, observed: PixelMatrix):
     with np.errstate(over="ignore", invalid="ignore"):
         mtm = m.T @ m
         mty = np.einsum("li,ln->in", m, observed.values)
-    a, _, conv, _, _ = _solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / endmembers.count))
+    a, _, conv, _ = _solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / endmembers.count))
     return a, int((~conv).sum()), mtm, mty
 
 

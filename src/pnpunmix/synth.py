@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,10 @@ logger = logging.getLogger(__name__)
 # positive and inside the physical range without touching the endpoints
 SPECTRUM_LO = 0.05
 SPECTRUM_HI = 0.95
+# least spectral angle between generated endmembers, in degrees, and the
+# candidates drawn per endmember before the floor counts as unreachable
+MIN_ANGLE_DEG = 5.0
+MAX_TRIES = 500
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,7 @@ def _smooth_field(rng: np.random.Generator, rows: int, cols: int, sigma: float):
     return (field - field.mean()) / max(spread, 1e-12)
 
 
-def generate_abundances(
-    spec: SceneSpec,
-    field_seeds: Sequence[int | np.random.SeedSequence] | None = None,
-) -> AbundanceMatrix:
+def generate_abundances(spec: SceneSpec) -> AbundanceMatrix:
     """Simplex-valued abundance maps from smoothed Gaussian fields.
 
     One random field is drawn per endmember, smoothed, standardized, and
@@ -140,29 +141,14 @@ def generate_abundances(
     stream independent of the fields) is overwritten with the basis vector
     of its dominant material.
 
-    Args:
-        spec: scene parameters.
-        field_seeds: optional explicit per-field seeds, one per endmember.
-            Defaults to the children spawned from ``SeedSequence(seed,
-            spawn_key=(0,))``; passing a permutation of those children
-            permutes the abundance rows and nothing else, which keeps the
-            planes exchangeable. The pure-pixel placement always uses the
-            spawned extra stream, so it does not move under a permutation.
+    Each field's seed is a child spawned from ``SeedSequence(seed,
+    spawn_key=(0,))``. Permuting those children permutes the abundance rows
+    and nothing else, which keeps the planes exchangeable; the pure-pixel
+    placement uses the last, extra child, so it does not move.
     """
     children = _field_children(spec)
-    if field_seeds is None:
-        field_seeds = children[: spec.endmembers]
-    elif len(field_seeds) != spec.endmembers:
-        raise ValueError(
-            f"need {spec.endmembers} field seeds, got {len(field_seeds)}"
-        )
-    planes = [
-        _smooth_field(
-            np.random.default_rng(s), spec.rows, spec.cols, spec.field_smoothness
-        )
-        for s in field_seeds
-    ]
-    fields = np.stack(planes)
+    fields = np.stack([_smooth_field(np.random.default_rng(s), spec.rows, spec.cols,
+                                     spec.field_smoothness) for s in children[:-1]])
     fields -= fields.max(axis=0, keepdims=True)
     weights = np.exp(fields)
     # sum the sorted weights so the denominator depends only on the
@@ -206,19 +192,15 @@ def _bump_spectrum(rng: np.random.Generator, bands: int) -> np.ndarray | None:
 
 
 def generate_endmembers(
-    bands: int,
-    count: int,
-    seed: int | np.random.SeedSequence,
-    min_angle_deg: float = 5.0,
-    max_tries: int = 500,
+    bands: int, count: int, seed: int | np.random.SeedSequence
 ) -> EndmemberMatrix:
     """Smooth random spectra in [0, 1] with a mutual spectral-angle floor.
 
     Each spectrum is a mixture of a few Gaussian bumps over the band axis,
-    rescaled into [0.05, 0.95]. Candidates closer than ``min_angle_deg``
+    rescaled into [0.05, 0.95]. Candidates closer than MIN_ANGLE_DEG
     degrees to an already accepted spectrum are rejected and redrawn; if a
-    slot exhausts ``max_tries`` candidates the floor is unreachable (too
-    few bands for that many distinct spectra) and a ComputeError is raised.
+    slot exhausts MAX_TRIES candidates the floor is unreachable (too few
+    bands for that many distinct spectra) and a ComputeError is raised.
     The condition number of the Gram matrix of the accepted set is logged.
     """
     if bands < count:
@@ -226,20 +208,20 @@ def generate_endmembers(
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     for slot in range(count):
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             candidate = _bump_spectrum(rng, bands)
             if candidate is None:
                 continue
             if all(
-                _spectral_angle_deg(candidate, prev) >= min_angle_deg
+                _spectral_angle_deg(candidate, prev) >= MIN_ANGLE_DEG
                 for prev in accepted
             ):
                 accepted.append(candidate)
                 break
         else:
             raise ComputeError(
-                f"no spectrum for slot {slot} cleared the {min_angle_deg:g} degree "
-                f"angle floor in {max_tries} tries"
+                f"no spectrum for slot {slot} cleared the {MIN_ANGLE_DEG:g} degree "
+                f"angle floor in {MAX_TRIES} tries"
             )
     m = np.column_stack(accepted)
     gram_cond = float(np.linalg.cond(m.T @ m))

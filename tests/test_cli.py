@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from pnpunmix.cli import _UNMIX_OPTS, _build_parser, main
 from pnpunmix.cube import PixelMatrix, fold, unfold
-from pnpunmix.denoise import register_denoiser
+from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
 from pnpunmix.io import (
     read_abundances,
     read_config,
@@ -492,6 +492,24 @@ class TestDenoiseCommand:
         assert filtered.values.shape == noisy.values.shape
         assert np.any(filtered.values != noisy.values)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("identity", {}),
+        ("gaussian", {"sigma_spatial": 0.7}),
+        ("nlm", {"search_radius": 2}),
+        ("tv", {"iters": 5}),
+    ])
+    def test_writes_the_library_bytes_for_every_built_in(self, scene_dir, tmp_path,
+                                                         kind, params):
+        noisy = scene_dir / "noisy.raw"
+        out, ref = tmp_path / "filtered.raw", tmp_path / "reference.raw"
+        argv = ["denoise", "--input", str(noisy), "--out", str(out), "--kind", kind,
+                "--sigma", "0.1"]
+        assert main(argv + [f"--param={k}={v}" for k, v in params.items()]) == 0
+        write_cube(ref, denoise(DenoiserSpec(kind, params), read_cube(noisy), 0.1))
+        for suffix in (".raw", ".hdr"):
+            assert (out.with_suffix(suffix).read_bytes()
+                    == ref.with_suffix(suffix).read_bytes())
+
     def test_unknown_kind_is_usage_error(self, scene_dir, tmp_path, capsys):
         code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
                      "--out", str(tmp_path / "x.raw"), "--kind", "wavelet",
@@ -835,7 +853,7 @@ def _run_on_corrupted(inputs, tmp, command, corruption):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(command=st.sampled_from(_COMMANDS), corruption=_CORRUPTIONS)
-# one hot pixel: the A-step cannot place it on the simplex (see below)
+# one hot pixel, far beyond the endmembers' scale (see below)
 @example(command="unmix pro-h gaussian", corruption=("noisy.raw", "value", 0, 1e20))
 # a reconstruction past the float range: eval reads its error as inf
 @example(command="eval", corruption=("endmembers.csv", "cell", 1, "1e300"))
@@ -858,17 +876,10 @@ def test_any_corrupted_input_unmixes_or_exits_with_one_line(tiny_inputs, command
 
 
 @pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
-def test_one_hot_pixel_aborts_the_run_with_exit_4(tiny_inputs, tmp_path, mode):
-    # one payload value of 1e20, far beyond the endmembers' scale: the A-step
-    # gives that pixel all-zero abundances and refuses them, so the whole run
-    # exits 4; at 1e8 the same run unmixes.  Pinned as it stands: a fix
-    # changes the A-step's arithmetic
-    run = f"unmix {mode} nlm"
-    code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path / "hot", run,
+def test_one_hot_pixel_unmixes_with_exit_0(tiny_inputs, tmp_path, mode):
+    # one payload value of 1e20, far beyond the endmembers' scale: that
+    # pixel's face solves lose the sum-to-one row to cancellation, and the
+    # A-step moves them back onto it, so the run unmixes without a word
+    code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path, f"unmix {mode} nlm",
                                           ("noisy.raw", "value", 0, 1e20))
-    assert (code, caught) == (4, [])
-    assert err == ("pnpunmix: error [unmixing]: a-step feasibility violated: "
-                   "sum deviation 1.000e+00, min entry 0.000e+00\n")
-    code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path / "warm", run,
-                                          ("noisy.raw", "value", 0, 1e8))
     assert (code, err, caught) == (0, "", [])

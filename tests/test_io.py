@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -149,16 +149,17 @@ class TestAbundanceFile:
         npt.assert_allclose(back.values, truth.values, atol=1e-7)
         npt.assert_allclose(back.values.sum(axis=0), 1.0, atol=1e-5)
 
-    def test_default_read_tolerance_absorbs_quantization(self, tmp_path):
+    def test_default_read_tolerance_absorbs_quantization(self, tmp_path, monkeypatch):
         # a strict in-memory tolerance would reject the file
         rng = np.random.default_rng(4)
         raw = rng.uniform(0.1, 1.0, (6, 64))
         truth = AbundanceMatrix(raw / raw.sum(axis=0), 8, 8)
         path = tmp_path / "truth.raw"
         write_abundances(path, truth)
-        with pytest.raises(FileFormatError, match="sum"):
-            read_abundances(path, asc_tol=1e-12)
         read_abundances(path)
+        monkeypatch.setattr(io_module, "STORED_ASC_TOL", 1e-12)
+        with pytest.raises(FileFormatError, match="sum"):
+            read_abundances(path)
 
 
 # channels or endmembers 1..5 (P=1 included), 1xN and Nx1 images included
@@ -204,7 +205,55 @@ def test_abundance_file_matches_the_folded_cube_route(data, shape):
     assert back.values.tobytes() == stored.tobytes()
 
 
+# names that read back, and names mixing in what the CSV cannot carry as
+# written: commas, line breaks, edge whitespace, non-ASCII; values include
+# a pair that prints to the same nine digits
+_NAMES = (st.text("ab0.-_", min_size=1, max_size=4)
+          | st.text("a ,\t\n\r\x0c\x1c\u00e9\u2028", max_size=3))
+_SPECTRA = st.sampled_from([0.1, 0.1 + 1e-12, 0.7]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), bands=st.integers(1, 4), count=st.integers(1, 3))
+def test_endmember_file_reads_back_as_written_or_is_refused(data, bands, count):
+    names = tuple(data.draw(st.lists(_NAMES, min_size=count, max_size=count)))
+    values = data.draw(arrays(np.float64, (bands, count), elements=_SPECTRA))
+    try:
+        endmembers = EndmemberMatrix(values, names)
+    except ValueError:
+        assume(False)  # a zero or repeated column is no endmember matrix
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "endmembers.csv"
+        path.write_bytes(b"kept")
+        try:
+            write_endmembers(path, endmembers)
+        except ValueError:
+            assert path.read_bytes() == b"kept"
+            return
+        back = read_endmembers(path)
+    assert back.names == names
+    npt.assert_allclose(back.values, values, rtol=0, atol=1e-6)
+
+
 class TestEndmemberCsv:
+    @pytest.mark.parametrize("names, values", [
+        (("",), [[0.1], [0.2], [0.3]]),  # the header line would be blank
+        (("a,b", "c"), [[0.1, 0.2]]),
+        (("a\nb", "c"), [[0.1, 0.2]]),
+        (("a\x0cb", "c"), [[0.1, 0.2]]),  # a line break to str.splitlines
+        ((" a", "c"), [[0.1, 0.2]]),
+        (("a", "c\t"), [[0.1, 0.2]]),
+        (("\u00e9", "c"), [[0.1, 0.2]]),
+        (("a", "c"), [[0.1, 0.1 + 1e-12]]),  # one column, once printed
+    ])
+    def test_what_would_not_read_back_is_refused_before_writing(self, tmp_path,
+                                                                names, values):
+        path = tmp_path / "endmembers.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="would not read back|identical"):
+            write_endmembers(path, EndmemberMatrix(np.array(values), names))
+        assert path.read_text() == "kept\n"
+
     def test_round_trip_with_names(self, tmp_path):
         values = np.array([[1 / 3, 0.25], [2 / 3, 0.75], [0.1, 0.9]])
         em = EndmemberMatrix(values, names=("soil", "water"))

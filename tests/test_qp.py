@@ -11,6 +11,7 @@ Hand-worked oracles (derived before the solver was written):
   test_acceptance, a small version is exercised here).
 """
 
+import functools
 import hashlib
 import warnings
 
@@ -81,15 +82,21 @@ def test_never_worse_than_coarse_grid():
         assert _objective(problem, sol.a) <= best + 1e-6
 
 
-def test_objective_trace_monotone():
+def test_objective_trace_monotone(monkeypatch):
+    # a sweep budget of k stops right after sweep k, so budgets 0 .. the
+    # solve's own sweep count replay the objective after every sweep
     rng = np.random.default_rng(3)
     for _ in range(20):
         b = rng.standard_normal((5, 5))
         problem = QpProblem(b.T @ b + 0.01 * np.eye(5), 3.0 * rng.standard_normal(5))
         sol = solve_simplex_qp(problem)
-        assert sol.objective_trace is not None
-        diffs = np.diff(sol.objective_trace)
-        assert (diffs <= 1e-10).all()
+        trace = []
+        for k in range(sol.iterations + 1):
+            monkeypatch.setattr(qp, "QP_MAX_SWEEPS", k)
+            trace.append(_objective(problem, solve_simplex_qp(problem).a))
+        monkeypatch.undo()
+        assert trace[-1] == _objective(problem, sol.a)
+        assert (np.diff(trace) <= 1e-10).all()
 
 
 def test_warm_start_never_worse_than_start():
@@ -162,15 +169,18 @@ def test_problem_validation_is_scale_free():
             QpProblem(c * np.array([[-1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
 
 
-def test_objective_trace_is_in_the_callers_units():
-    # trace(q)/P near 1e6: the solver works on q / 2^20 and must report
-    # the objective of the problem it was given
+def test_kkt_residual_is_in_the_callers_units():
+    # at (2^20 q, 2^20 f) the solver works on the same normalised problem,
+    # so it returns the same point, whose residual must scale with the data
     rng = np.random.default_rng(31)
-    b = rng.uniform(size=(3, 6))
-    problem = QpProblem(1e6 * (b.T @ b), 1e3 * rng.standard_normal(6))
-    sol = solve_simplex_qp(problem)
-    assert sol.converged
-    assert_allclose(sol.objective_trace[-1], _objective(problem, sol.a), rtol=1e-12)
+    for _ in range(200):
+        b = rng.uniform(size=(3, 6))
+        q, f = b.T @ b, rng.standard_normal(6)
+        sol = solve_simplex_qp(QpProblem(q, f))
+        big = solve_simplex_qp(QpProblem(2.0**20 * q, 2.0**20 * f))
+        assert sol.converged and big.converged
+        assert_array_equal(big.a, sol.a)
+        assert big.kkt_residual == 2.0**20 * sol.kkt_residual
 
 
 def test_fcls_recovers_noiseless_mixture():
@@ -267,6 +277,45 @@ def test_rank_deficient_fcls_is_scale_free():
     assert_allclose(m @ _fcls_scaled(m, y, 1e-3), base, rtol=0, atol=1e-9)
 
 
+@functools.lru_cache(maxsize=None)
+def _hot_pixel_scene(seed):
+    # the CLI tests' tiny scene: 8x8 pixels, 3 materials, 6 bands, 10 dB
+    scene = make_scene(SceneSpec(rows=8, cols=8, endmembers=3, bands=6, snr_db=10.0,
+                                 seed=seed))
+    observed = unfold(scene.noisy)
+    return scene.endmembers, observed.values, fcls(scene.endmembers, observed).values
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    k=st.integers(0, 32),
+    band=st.integers(0, 5),
+    pixel=st.integers(0, 63),
+    seed=st.integers(0, 1),
+    mode=st.sampled_from(["pro-h", "pro-a"]),
+    kind=st.sampled_from(["nlm", "gaussian", "tv"]),
+)
+def test_one_hot_value_keeps_every_column_on_the_simplex(k, band, pixel, seed, mode,
+                                                         kind):
+    # one value of 10^k dwarfs Q in that pixel's QP, and its face solves
+    # lose the sum row to cancellation; the guard puts them back on it, so
+    # fcls and the loop finish with exact column sums and no warning, and
+    # every other pixel keeps its fcls bytes
+    em, y, base = _hot_pixel_scene(seed)
+    y = y.copy()
+    y[band, pixel] = 10.0**k
+    observed = PixelMatrix(y, 8, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = fcls(em, observed).values
+        loop = unmix(observed, em, default_config(mode, kind, snr_db=10.0))[0].values
+    for a in (est, loop):
+        assert a.min() >= 0.0
+        assert np.abs(a.sum(axis=0) - 1.0).max() <= qp.FACE_SUM_TOL
+    others = np.arange(64) != pixel
+    assert_array_equal(est[:, others], base[:, others])
+
+
 def _warm_starts(rng, count, pixels):
     # simplex points with exact zeros, vertices included, normalised the
     # way solve_simplex_qp normalises a warm start
@@ -303,8 +352,7 @@ def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log
     a0 = _warm_starts(rng, count, pixels)
     batch = qp._solve_batch(q, fs, a0)
     sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
-    part = qp._solve_batch(q, fs[:, sub], a0[:, sub])
-    batch = batch[:4]  # a, sweeps, converged, shifted
+    part = qp._solve_batch(q, fs[:, sub], a0[:, sub])  # a, sweeps, converged, shifted
     for got, want in zip(part, batch):
         assert_array_equal(got, want[..., sub])
     for j in range(pixels):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
+from pnpunmix import synth
 from pnpunmix.cube import unfold
 from pnpunmix.errors import ComputeError
 from pnpunmix.qp import fcls
@@ -114,18 +115,17 @@ class TestGenerateAbundances:
         second = generate_abundances(small_spec(seed=2))
         assert np.any(first.values != second.values)
 
-    def test_permuting_field_seeds_permutes_rows(self):
+    def test_permuting_field_seeds_permutes_rows(self, monkeypatch):
         spec = small_spec(pure_pixel_fraction=0.05)
         children = np.random.SeedSequence(spec.seed, spawn_key=(0,)).spawn(
             spec.endmembers + 1
         )
         base = generate_abundances(spec)
-        replayed = generate_abundances(spec, field_seeds=children[:3])
-        npt.assert_array_equal(replayed.values, base.values)
+        # the fields' children permuted, the pure-pixel stream (last) kept
         perm = [2, 0, 1]
-        permuted = generate_abundances(
-            spec, field_seeds=[children[i] for i in perm]
-        )
+        monkeypatch.setattr(synth, "_field_children",
+                            lambda _: [children[i] for i in perm] + children[3:])
+        permuted = generate_abundances(spec)
         npt.assert_array_equal(permuted.values, base.values[perm])
 
     def test_kernel_of_radius_zero_leaves_the_fields_unblurred(self):
@@ -134,10 +134,6 @@ class TestGenerateAbundances:
         tiny = generate_abundances(small_spec(field_smoothness=1e-200))
         npt.assert_array_equal(
             tiny.values, generate_abundances(small_spec(field_smoothness=0.1)).values)
-
-    def test_wrong_seed_count_rejected(self):
-        with pytest.raises(ValueError, match="field seeds"):
-            generate_abundances(small_spec(), field_seeds=[0, 1])
 
 
 class TestGenerateEndmembers:
@@ -148,7 +144,7 @@ class TestGenerateEndmembers:
         assert m.values.max() <= 1.0
 
     def test_pairwise_angles_clear_the_floor(self):
-        m = generate_endmembers(40, 5, seed=7, min_angle_deg=5.0)
+        m = generate_endmembers(40, 5, seed=7)
         cols = m.values
         for i in range(5):
             for j in range(i + 1, 5):
@@ -170,10 +166,12 @@ class TestGenerateEndmembers:
         assert np.isfinite(cond)
         assert any("condition number" in rec.message for rec in caplog.records)
 
-    def test_unreachable_angle_floor_raises(self):
+    def test_unreachable_angle_floor_raises(self, monkeypatch):
         # strictly positive spectra cannot be nearly orthogonal
-        with pytest.raises(ComputeError, match="angle floor"):
-            generate_endmembers(3, 3, seed=0, min_angle_deg=89.9, max_tries=40)
+        monkeypatch.setattr(synth, "MIN_ANGLE_DEG", 89.9)
+        monkeypatch.setattr(synth, "MAX_TRIES", 40)
+        with pytest.raises(ComputeError, match="89.9 degree angle floor in 40 tries"):
+            generate_endmembers(3, 3, seed=0)
 
     def test_more_endmembers_than_bands_rejected(self):
         with pytest.raises(ValueError, match="bands"):
