@@ -33,7 +33,7 @@ from .denoise import DenoiserSpec, available_denoisers, denoise
 from .errors import ComputeError, FileFormatError, ShapeError
 from .io import (
     _read_pixels,
-    _write_pixels,
+    _write_payload,
     read_abundances,
     read_config,
     read_cube,
@@ -44,8 +44,7 @@ from .io import (
     write_endmembers,
     write_graymap,
 )
-from .metrics import evaluate
-from .model import mix
+from .metrics import _evaluate, evaluate
 from .pnp import PnpConfig, default_config, unmix
 from .synth import SceneSpec, make_scene
 
@@ -214,18 +213,18 @@ def cmd_unmix(args) -> int:
     with _phase("unmixing"):
         estimate, state = unmix(observed, endmembers, cfg, truth=truth)
     with _phase("evaluation"):
-        reconstruction = mix(endmembers, estimate)
-        record = evaluate(
-            endmembers, observed, estimate, truth=truth, clean=clean,
-            reconstruction=reconstruction,
-        ).to_dict()
+        # one pass over M·A scores it and yields the reconstruction payload
+        report, payload = _evaluate(endmembers, observed, estimate, truth=truth,
+                                    clean=clean, payload=True)
+        record = report.to_dict()
         if truth is not None:
             record["per_iteration_rmse"] = [r.rmse for r in state.iterations]
     with _phase("output writing"):
         out_dir = Path(settings["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         write_abundances(out_dir / ABUNDANCE_FILE, estimate)
-        _write_pixels(out_dir / RECONSTRUCTION_FILE, reconstruction)
+        _write_payload(out_dir / RECONSTRUCTION_FILE, payload,
+                       estimate.spatial_rows, estimate.spatial_cols)
         text = json.dumps(record, sort_keys=True, indent=2)
         (out_dir / METRICS_FILE).write_text(text + "\n")
         _write_trace(out_dir / TRACE_FILE, state)

@@ -11,7 +11,8 @@ writes it, and read_config, which rejects duplicate and empty keys, reads it.
 
 Every reader raises FileFormatError with the offending path in the message;
 shape and content checks of the reconstructed objects are delegated to the
-container types.
+container types. Writers raise ValueError, before writing anything, for
+what their reader would not take back as written.
 """
 
 from __future__ import annotations
@@ -53,17 +54,35 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".hdr")
 
 
-def _write_pixels(path, matrix: PixelMatrix) -> None:
-    """Write a :class:`PixelMatrix` as float32 payload plus ``.hdr``."""
+def _write_payload(path, payload: np.ndarray, rows: int, cols: int) -> None:
+    """Write a (channels, rows * cols) ``<f4`` payload plus ``.hdr``."""
     path = Path(path)
-    payload = np.ascontiguousarray(matrix.values, dtype="<f4")
-    shape = (matrix.channels, matrix.spatial_rows, matrix.spatial_cols)
+    shape = (payload.shape[0], rows, cols)
     write_config(_sidecar(path), dict(zip(_HEADER_KEYS, shape)) | _ENCODING)
     path.write_bytes(payload)
 
 
+def _write_pixels(path, matrix: PixelMatrix) -> None:
+    """Write a :class:`PixelMatrix` as float32 payload plus ``.hdr``.
+
+    A value beyond the float32 range would be stored as inf, which no
+    reader takes back, so it raises ValueError before anything is written.
+    """
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(matrix.values, dtype="<f4")
+    except FloatingPointError:
+        raise ValueError(
+            f"{path}: values beyond the float32 range would not read back"
+        ) from None
+    _write_payload(path, payload, matrix.spatial_rows, matrix.spatial_cols)
+
+
 def write_cube(path, cube: HsiCube) -> None:
-    """Write a cube as raw float32 payload plus ``.hdr`` sidecar."""
+    """Write a cube as raw float32 payload plus ``.hdr`` sidecar.
+
+    A value beyond the float32 range raises ValueError; nothing is written.
+    """
     _write_pixels(path, unfold(cube))
 
 

@@ -544,6 +544,21 @@ class TestDenoiseCommand:
         assert err == "pnpunmix: error [denoising]: ValueError: plug-in bug\n"
         assert not (tmp_path / "x.raw").exists()
 
+    def test_output_past_float32_is_refused_unwritten(self, scene_dir, tmp_path, capsys):
+        # a plug-in whose output float32 cannot hold: stored, it would read inf
+        try:
+            register_denoiser("cli-denoise-too-bright", lambda vol, sigma: vol * 1e39)
+        except ValueError:
+            pass
+        code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
+                     "--out", str(tmp_path / "x.raw"),
+                     "--kind", "cli-denoise-too-bright", "--sigma", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [output writing]: ")
+        assert "float32 range" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.raw").exists() and not (tmp_path / "x.hdr").exists()
+
     def test_non_numeric_param_is_usage_error(self, scene_dir, tmp_path, capsys):
         code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
                      "--out", str(tmp_path / "x.raw"), "--kind", "nlm",
@@ -700,6 +715,31 @@ class TestExitCodes:
         assert err.startswith("pnpunmix: error [unmixing]: a-step: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["pro-h", "pro-a"])
+    def test_reconstruction_past_float32_exits_2_unwritten(self, tmp_path, capsys, mode):
+        # one endmember cell of 1e100 unmixes, but M·A then holds values that
+        # float32 cannot store; refused before any artifact is written
+        scene = tmp_path / "scene"
+        assert main(["synth", "--rows", "8", "--cols", "8", "--endmembers", "3",
+                     "--bands", "6", "--snr-db", "10", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        with open(scene / "endmembers.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[0][0] = "1e100"
+        with open(tmp_path / "bright.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        with pytest.warns(UserWarning, match=r"outside \[0, 1\]"):
+            code = main(["unmix", "--cube", str(scene / "noisy.raw"),
+                         "--endmembers", str(tmp_path / "bright.csv"),
+                         "--out", str(tmp_path / "o"), "--mode", mode,
+                         "--denoiser", "identity"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [evaluation]: reconstruction values "
+                              "beyond the float32 range")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
@@ -822,7 +862,8 @@ def _corrupt(path, how, *args):
 _COMMANDS = ("eval",) + tuple(f"unmix {mode} {kind}" for mode in ("pro-h", "pro-a")
                               for kind in ("identity", "gaussian"))
 _STAGE_BY_CODE = {
-    2: ("[input parsing]: ",),
+    # evaluation: an endmember cell so bright that M·A leaves the float32 range
+    2: ("[input parsing]: ", "[evaluation]: "),
     3: ("[input parsing]: ", "[unmixing]: ", "[evaluation]: "),
     4: ("[unmixing]: a-step",),
 }
@@ -857,6 +898,8 @@ def _run_on_corrupted(inputs, tmp, command, corruption):
 @example(command="unmix pro-h gaussian", corruption=("noisy.raw", "value", 0, 1e20))
 # a reconstruction past the float range: eval reads its error as inf
 @example(command="eval", corruption=("endmembers.csv", "cell", 1, "1e300"))
+# a reconstruction past the float32 range: unmix refuses to store it
+@example(command="unmix pro-a identity", corruption=("endmembers.csv", "cell", 1, "1e100"))
 def test_any_corrupted_input_unmixes_or_exits_with_one_line(tiny_inputs, command,
                                                            corruption):
     # one input file of eval or unmix corrupted: a bad sidecar token, a

@@ -187,6 +187,16 @@ def test_cube_file_round_trip_is_bitwise(data, shape, chunk):
     assert back.values.tobytes() == cube.values.tobytes()
 
 
+@pytest.mark.parametrize("value", [3.5e38, -1e39, 1e300])
+def test_cube_past_float32_is_refused_unwritten(tmp_path, value):
+    # float32 would store the value as inf, which read_cube refuses
+    values = np.full((2, 3, 4), 0.5)
+    values[1, 2, 3] = value
+    with pytest.raises(ValueError, match="float32 range"):
+        write_cube(tmp_path / "cube.raw", HsiCube(values))
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), shape=_SHAPES)
 def test_abundance_file_matches_the_folded_cube_route(data, shape):

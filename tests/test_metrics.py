@@ -10,11 +10,16 @@ reconstruction error: offsets of 0.5 in both bands of one pixel ->
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pnpunmix import metrics
 from pnpunmix.cube import PixelMatrix
 from pnpunmix.errors import ShapeError
 from pnpunmix.metrics import (
@@ -112,16 +117,90 @@ def test_evaluate_without_truth():
     assert "rmse" not in report.to_dict()
 
 
-def test_evaluate_scores_a_given_reconstruction_as_its_own():
-    rng = np.random.default_rng(4)
-    em = EndmemberMatrix(rng.uniform(0.1, 0.9, size=(6, 3)))
-    est = AbundanceMatrix(rng.dirichlet(np.ones(3), size=8).T, 2, 4)
-    truth = AbundanceMatrix(rng.dirichlet(np.ones(3), size=8).T, 2, 4)
-    observed = PixelMatrix(rng.uniform(0.1, 0.9, size=(6, 8)), 2, 4)
-    clean = PixelMatrix(em.values @ truth.values, 2, 4)
-    formed = evaluate(em, observed, est, truth=truth, clean=clean)
-    given = evaluate(em, observed, est, truth=truth, clean=clean,
-                     reconstruction=mix(em, est))
-    assert given == formed
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    bands=st.integers(1, 6),
+    count=st.integers(1, 4),
+    pixels=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_pass_is_the_same_at_every_block_size(bands, count, pixels, seed):
+    # blocks of 1-7 pixels cover one-pixel blocks and every short tail:
+    # the float32 payload and the peak come out bit for bit the same
+    rng = np.random.default_rng(seed)
+    em = EndmemberMatrix(rng.uniform(0.1, 0.9, size=(bands, count)))
+    est = AbundanceMatrix(rng.dirichlet(np.ones(count), size=pixels).T, 1, pixels)
+    # references far from every reconstructed value (at most 0.9): the
+    # pass's einsum and mix's matmul may differ in the last bit of M·A,
+    # which then moves each error term by under an ulp of the term
+    observed = PixelMatrix(rng.uniform(10.0, 20.0, size=(bands, pixels)), 1, pixels)
+    clean = PixelMatrix(rng.uniform(10.0, 20.0, size=(bands, pixels)), 1, pixels)
+    mixed = mix(em, est)
+    error = reconstruction_error(observed, mixed)
+    db = psnr(mixed, clean)
+    runs = []
+    for block in range(1, 8):
+        with mock.patch.object(metrics, "BLOCK_PIXELS", block):
+            runs.append(metrics._evaluate(em, observed, est, clean=clean, payload=True))
+    first, payload = runs[0]
+    assert payload.dtype == np.dtype("<f4") and payload.shape == (bands, pixels)
+    for report, stored in runs:
+        assert stored.tobytes() == payload.tobytes()
+        assert report.psnr_peak == first.psnr_peak
+        assert abs(report.reconstruction_error - error) <= 4 * math.ulp(error)
+        assert abs(report.psnr - db) <= 4 * math.ulp(db)
+
+
+def test_evaluate_holds_no_full_size_array():
+    # 64 bands over three blocks and a one-pixel tail: the pass keeps two
+    # (bands, block) buffers, never a (bands, pixels) float64 array
+    pixels = 3 * metrics.BLOCK_PIXELS + 1
+    rng = np.random.default_rng(5)
+    em = EndmemberMatrix(rng.uniform(0.1, 0.9, size=(64, 4)))
+    est = AbundanceMatrix(rng.dirichlet(np.ones(4), size=pixels).T, 1, pixels)
+    observed = PixelMatrix(rng.uniform(size=(64, pixels)), 1, pixels)
+    clean = PixelMatrix(rng.uniform(size=(64, pixels)), 1, pixels)
+    tracemalloc.start()
+    try:
+        evaluate(em, observed, est, truth=est, clean=clean)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < observed.values.nbytes
+
+
+@pytest.mark.parametrize("wrong", ["observed", "clean", "endmembers"])
+def test_evaluate_checks_shapes_before_the_pass(wrong):
+    em = EndmemberMatrix(np.eye(2))
+    est = _ab([[0.5, 1.0], [0.5, 0.0]])
+    good = PixelMatrix(np.ones((2, 2)), 1, 2)
+    inputs = {"observed": good, "clean": good, "endmembers": em}
+    inputs[wrong] = (EndmemberMatrix(np.eye(3)) if wrong == "endmembers"
+                     else PixelMatrix(np.ones((3, 2)), 1, 2))
     with pytest.raises(ShapeError):
-        evaluate(em, observed, est, reconstruction=PixelMatrix(np.ones((5, 8)), 2, 4))
+        evaluate(inputs["endmembers"], inputs["observed"], est, clean=inputs["clean"])
+
+
+def _bright_endmembers(top):
+    with pytest.warns(UserWarning, match="outside"):
+        return EndmemberMatrix(np.array([[top, top], [0.5, 0.25]]))
+
+
+def test_evaluate_refuses_a_reconstruction_past_the_float32_range():
+    # M·A of about 1e100 scores, but as a payload it would be stored as inf
+    em = _bright_endmembers(1e100)
+    est = _ab([[0.5, 1.0], [0.5, 0.0]])
+    observed = PixelMatrix(np.zeros((2, 2)), 1, 2)
+    assert math.isfinite(evaluate(em, observed, est).reconstruction_error)
+    with pytest.raises(ValueError, match="float32 range"):
+        metrics._evaluate(em, observed, est, payload=True)
+
+
+@pytest.mark.parametrize("payload", [False, True])
+def test_evaluate_refuses_a_reconstruction_past_the_float_range(payload):
+    # abundances summing to just over one carry M·A past the largest float
+    em = _bright_endmembers(np.finfo(float).max)
+    est = _ab([[0.5], [0.5 + 5e-9]])
+    observed = PixelMatrix(np.zeros((2, 1)), 1, 1)
+    with pytest.raises(ValueError, match="must be finite"):
+        metrics._evaluate(em, observed, est, payload=payload)
