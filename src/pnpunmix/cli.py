@@ -15,6 +15,7 @@ artifact set. Everything is a pure function of argv and files.
 
 Exit codes: 0 success, 1 unexpected error inside a stage, 2 usage/config/
 file format, 3 shape mismatch, 4 numerical failure, 5 filesystem error.
+A warning prints as one ``pnpunmix: warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -80,28 +82,6 @@ def _phase(name: str):
         raise
 
 
-def _parse_number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_params(items, flag: str) -> dict:
-    """``key=value`` items of a repeatable flag as {key: number or text}."""
-    params = {}
-    for item in items or ():
-        if "=" not in item:
-            raise UsageError(f"{flag} expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        params[key.strip()] = _parse_number(raw)
-    return params
-
-
 @dataclass(frozen=True)
 class _Opt:
     key: str
@@ -131,22 +111,16 @@ _UNMIX_OPTS = (
     _Opt("stop_tol", float, help="relative primal residual stop"),
 )
 
-_DENOISER_KEY_PREFIX = "denoiser."
-
 # settings handed to default_config when given; the rest take its defaults
 _LOOP_KEYS = {f.name for f in fields(PnpConfig)} - {"mode", "denoiser"} | {"snr_db"}
 
 
-def _merge_settings(args) -> tuple[dict, dict]:
+def _merge_settings(args) -> dict:
     """Config-file values overridden by explicit flags; unknown keys rejected."""
     known = {opt.key: opt for opt in _UNMIX_OPTS}
     settings = {opt.key: opt.default for opt in _UNMIX_OPTS}
-    denoiser_params: dict = {}
     if args.config is not None:
         for key, raw in read_config(args.config).items():
-            if key.startswith(_DENOISER_KEY_PREFIX):
-                denoiser_params[key[len(_DENOISER_KEY_PREFIX):]] = _parse_number(raw)
-                continue
             opt = known.get(key)
             if opt is None:
                 raise UsageError(f"unknown config key {key!r} in {args.config}")
@@ -158,11 +132,10 @@ def _merge_settings(args) -> tuple[dict, dict]:
         flag_value = getattr(args, opt.key)
         if flag_value is not None:
             settings[opt.key] = flag_value
-    denoiser_params.update(_parse_params(args.denoiser_param, "--denoiser-param"))
     missing = [known[k].flag for k, v in settings.items() if v is None and known[k].required]
     if missing:
         raise UsageError(f"missing required settings: {', '.join(sorted(missing))}")
-    return settings, denoiser_params
+    return settings
 
 
 def _write_trace(path: Path, state) -> None:
@@ -200,10 +173,8 @@ def cmd_synth(args) -> int:
 
 def cmd_unmix(args) -> int:
     with _phase("configuration"):
-        settings, denoiser_params = _merge_settings(args)
+        settings = _merge_settings(args)
         overrides = {key: settings[key] for key in _LOOP_KEYS if settings[key] is not None}
-        if denoiser_params:
-            overrides["denoiser"] = DenoiserSpec(settings["denoiser"], denoiser_params)
         cfg = default_config(settings["mode"], settings["denoiser"], **overrides)
     with _phase("input parsing"):
         observed = _read_pixels(settings["cube"])
@@ -254,7 +225,7 @@ def cmd_eval(args) -> int:
 
 def cmd_denoise(args) -> int:
     with _phase("configuration"):
-        spec = DenoiserSpec(args.kind, _parse_params(args.param, "--param"))
+        spec = DenoiserSpec(args.kind)
     # checked before any input is read, under the stage it configures
     with _phase("denoising"):
         if not 0.0 <= args.sigma < float("inf"):
@@ -288,10 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     unmix_p.add_argument("--config", help="flat key = value settings file")
     for opt in _UNMIX_OPTS:
         unmix_p.add_argument(opt.flag, dest=opt.key, type=opt.convert, help=opt.help)
-    unmix_p.add_argument(
-        "--denoiser-param", action="append", metavar="KEY=VALUE",
-        help="denoiser parameter; repeatable (config file: denoiser.<key>)",
-    )
     unmix_p.set_defaults(handler=cmd_unmix)
 
     eval_p = sub.add_parser("eval", help="score an abundance estimate")
@@ -309,10 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--kind", default="nlm",
                      help="one of: " + ", ".join(available_denoisers()))
     den.add_argument("--sigma", type=float, required=True, help="noise level")
-    den.add_argument("--param", action="append", metavar="KEY=VALUE",
-                     help="denoiser parameter; repeatable")
     den.set_defaults(handler=cmd_denoise)
     return parser
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"pnpunmix: warning: {message}\n"
 
 
 def main(argv=None) -> int:
@@ -320,6 +289,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a library warning prints as one line, not as the source file and line
+    # that raised it; recorders of warnings are left alone
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.handler(args)
     except ShapeError as exc:
@@ -340,6 +312,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         # a bug or a plug-in denoiser's own error: one line, no traceback
         return _report(exc, EXIT_UNEXPECTED, f"{type(exc).__name__}: ")
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def _report(exc: Exception, code: int, kind: str = "") -> int:

@@ -4,27 +4,28 @@ The unmixing loop hands each iteration's (channels, rows, cols) planes
 to the selected denoiser at the noise level sigma = sqrt(lambda / rho_k),
 through the array-level step that :func:`denoise` wraps for cubes;
 everything behind that step is interchangeable.  Built-ins: ``identity``
-(no prior), ``gaussian`` (separable blur, fixed spatial width), ``nlm``
-(non-local means with bandwidth h = h_scale * sigma), ``tv``
+(no prior), ``gaussian`` (separable blur of width GAUSSIAN_WIDTH),
+``nlm`` (non-local means with bandwidth h = NLM_H_SCALE * sigma), ``tv``
 (rudin-osher-fatemi model with weight mu = sigma, solved by dual
 projected gradient).  All are plain numpy, as is the whole package.
 
 Every built-in gives each channel what filtering that channel alone
 gives, with replicate borders, on one thread: ``nlm`` and ``gaussian``
 filter blocks of whole channels (up to BLOCK_PIXELS pixels) in one
-pass, ``tv`` goes band by band.
-External denoisers (a learned prior, say) plug in through
-:func:`register_denoiser` with the signature ``fn(volume, sigma) ->
-array``: ``volume`` is a read-only, C-contiguous float64 (channels, rows,
-cols) array, and the result is a new array of that shape.
+pass, ``tv`` goes band by band.  Their settings are the module
+constants below, read at call time.
+Every denoiser, built-in or plug-in, is a callable ``fn(volume, sigma)
+-> array``: ``volume`` is a read-only, C-contiguous float64 (channels,
+rows, cols) array, and the result is a new array of that shape.
+External ones (a learned prior, say) plug in through
+:func:`register_denoiser`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,47 +45,31 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DenoiserSpec:
-    """Name + parameters selecting a denoiser.
+    """The registered kind of denoiser to run.
 
-    The kind must be registered, and every parameter must be one its
-    registry entry checks: for the built-ins, radii and iteration counts
-    are integers >= 1 (window sizes 2r+1 stay odd by construction), widths
-    and scales positive.  Parameters left out take the defaults of the
-    filter's signature.  Plug-ins take no parameters, so any parameter for
-    one is rejected.  ``gaussian`` ignores sigma: its strength is
-    ``sigma_spatial`` alone, so in ``unmix`` lambda has no effect on it and
-    only rho0 moves the result.
+    ``gaussian`` ignores sigma: its strength is GAUSSIAN_WIDTH alone, so
+    in ``unmix`` lambda has no effect on it and only rho0 moves the result.
     """
 
     kind: str
-    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
         if self.kind not in _REGISTRY:
             raise ValueError(
                 f"unknown denoiser {self.kind!r}; "
                 f"available: {', '.join(available_denoisers())}"
             )
-        checks = _REGISTRY[self.kind][1]
-        for key, value in self.params.items():
-            if key not in checks:
-                raise ValueError(
-                    f"unknown parameter {key!r} for denoiser {self.kind!r}; "
-                    f"valid: {sorted(checks)}"
-                )
-            checks[key](key, value)
 
 
-def _count(key: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-
-
-def _positive(key: str, value) -> None:
-    if not isinstance(value, numbers.Real) or not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{key} must be a positive number, got {value!r}")
-
+# the built-ins' settings, at which the presets' (rho0, lambda) were tuned:
+# the gaussian's spatial width in pixels, nlm's patch and search radii (the
+# windows are 2r + 1 wide) and its bandwidth h per unit sigma, and tv's
+# dual projected-gradient steps
+GAUSSIAN_WIDTH = 1.5
+NLM_PATCH_RADIUS = 1
+NLM_SEARCH_RADIUS = 5
+NLM_H_SCALE = 10.0
+TV_ITERS = 30
 
 # pixels per block: ``gaussian`` and ``nlm`` filter whole channels
 # together up to this many, so their temporaries stay a few blocks in size
@@ -108,23 +93,22 @@ def _by_blocks(volume: np.ndarray, filter_block: Callable) -> np.ndarray:
     return out.reshape(volume.shape)
 
 
-def gaussian_filter(volume: np.ndarray, sigma_spatial: float = 1.5) -> np.ndarray:
+def gaussian_filter(volume: np.ndarray) -> np.ndarray:
     """Separable Gaussian blur of each (rows, cols) plane, replicate borders.
 
     ``volume`` is one plane or a stack (..., rows, cols), filtered in
     blocks of whole channels, so each plane comes out bit for bit as it
     would alone.  The 1D kernel is sampled on integer offsets, truncated
-    at ceil(3 * sigma_spatial) and renormalized to sum exactly 1, so
+    at ceil(3 * GAUSSIAN_WIDTH) and renormalized to sum exactly 1, so
     constant images pass through unchanged.  Rows are filtered first,
     then columns, with scipy.ndimage.correlate1d's arithmetic for a
     symmetric kernel (mode "nearest"), so the output matches it bit for
     bit.
     """
-    _positive("sigma_spatial", sigma_spatial)
     volume = np.asarray(volume, dtype=np.float64)
-    radius = max(int(np.ceil(3.0 * sigma_spatial)), 1)
+    radius = max(int(np.ceil(3.0 * GAUSSIAN_WIDTH)), 1)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(x**2) / (2.0 * sigma_spatial**2))
+    kernel = np.exp(-(x**2) / (2.0 * GAUSSIAN_WIDTH**2))
     kernel /= kernel.sum()
     return _by_blocks(volume, lambda block: _correlate_symmetric(
         _correlate_symmetric(block, kernel, 1), kernel, 2))
@@ -158,33 +142,25 @@ def _correlate_symmetric(
     return out
 
 
-def nlm_filter(
-    volume: np.ndarray,
-    sigma: float,
-    patch_radius: int = 1,
-    search_radius: int = 5,
-    h_scale: float = 10.0,
-) -> np.ndarray:
+def nlm_filter(volume: np.ndarray, sigma: float) -> np.ndarray:
     """Non-local means: average similar pixels from a search window.
 
-    Pixel j in the window around pixel i contributes with weight
-    exp(-ssd(i, j) / h^2), where ssd is the summed squared difference of
-    the (2*patch_radius+1)^2 patches and h = h_scale * sigma.  Weights
-    are normalized, so every output value is a convex combination of
-    window values.  Borders replicate.  sigma = 0 returns a copy of the
-    input.
+    Pixel j in the (2*NLM_SEARCH_RADIUS+1)^2 window around pixel i
+    contributes with weight exp(-ssd(i, j) / h^2), where ssd is the summed
+    squared difference of the (2*NLM_PATCH_RADIUS+1)^2 patches and
+    h = NLM_H_SCALE * sigma.  Weights are normalized, so every output
+    value is a convex combination of window values.  Borders replicate.
+    sigma = 0 returns a copy of the input.
 
     ``volume`` is one plane or a stack (..., rows, cols) of channels that
     are filtered independently.  Whole channels go through the search
     loop together, in blocks of up to BLOCK_PIXELS pixels (at least one
     channel), which bounds the temporaries to a few blocks.
     """
-    _count("patch_radius", patch_radius)
-    _count("search_radius", search_radius)
-    _positive("h_scale", h_scale)
     volume = np.asarray(volume, dtype=np.float64)
+    p, s = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
     try:
-        h2 = (h_scale * sigma) ** 2
+        h2 = (NLM_H_SCALE * sigma) ** 2
     except OverflowError:  # h = inf: every weight is 1, a box mean
         h2 = math.inf
     if h2 == 0.0:
@@ -192,8 +168,7 @@ def nlm_filter(
     # an ssd / h^2 that overflows (a subnormal h^2, say) gets the weight
     # exp(-inf) = 0, its intended limit; the centre offset always weighs 1
     with np.errstate(over="ignore"):
-        return _by_blocks(volume, lambda block: _nlm_block(
-            block, h2, patch_radius, search_radius))
+        return _by_blocks(volume, lambda block: _nlm_block(block, h2, p, s))
 
 
 def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:
@@ -279,17 +254,16 @@ def _rof_energy(u: np.ndarray, f: np.ndarray, mu: float) -> float:
     return float(0.5 * np.sum((u - f) ** 2) + mu * np.sum(np.sqrt(gx**2 + gy**2)))
 
 
-def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
+def tv_denoise(band: np.ndarray, sigma: float) -> np.ndarray:
     """Total-variation denoising, min over u of ||u-f||^2/2 + mu*TV(u).
 
-    mu = sigma.  The dual variable takes projected-gradient steps of
+    mu = sigma.  The dual variable takes TV_ITERS projected-gradient steps of
     length 1/8 (the inverse Lipschitz bound of the discrete gradient);
     among the primal candidates, the one with the lowest energy is kept,
     the input included, and candidates are clipped to the input range
     (which can only lower the energy), so the returned energy never
     exceeds the input's.  sigma = 0 returns the input.
     """
-    _count("iters", iters)
     f = np.asarray(band, dtype=np.float64)
     mu = float(sigma)
     if mu == 0.0:
@@ -299,7 +273,7 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     p2 = np.zeros_like(f)
     best = f.copy()
     best_energy = _rof_energy(f, f, mu)
-    for _ in range(iters):
+    for _ in range(TV_ITERS):
         u = f + mu * _div(p1, p2)
         gx, gy = _grad(u)
         # at a tiny mu the dual steps overflow, and then no candidate beats
@@ -317,17 +291,12 @@ def tv_denoise(band: np.ndarray, sigma: float, iters: int = 30) -> np.ndarray:
     return best
 
 
-# kind -> (fn(volume, sigma, **params) -> volume, {parameter: check});
-# a parameter left out takes the default of the filter's signature
-_REGISTRY: dict[str, tuple[Callable, dict[str, Callable]]] = {
-    "identity": (lambda volume, sigma: volume, {}),
-    "gaussian": (lambda volume, sigma, **params: gaussian_filter(volume, **params),
-                 {"sigma_spatial": _positive}),
-    "nlm": (nlm_filter,
-            {"patch_radius": _count, "search_radius": _count, "h_scale": _positive}),
-    "tv": (lambda volume, sigma, **params: np.stack(
-               [tv_denoise(band, sigma, **params) for band in volume]),
-           {"iters": _count}),
+# kind -> fn(volume, sigma) -> volume
+_REGISTRY: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
+    "identity": lambda volume, sigma: volume,
+    "gaussian": lambda volume, sigma: gaussian_filter(volume),
+    "nlm": nlm_filter,
+    "tv": lambda volume, sigma: np.stack([tv_denoise(band, sigma) for band in volume]),
 }
 
 
@@ -338,9 +307,6 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
     abundance planes (pro-a) or basis coefficients of the spectra (pro-h).
     In pro-h the plug-in gets neither the basis U nor the endmembers M, so
     it cannot rebuild band images from the coefficients.
-
-    A plug-in takes no parameters: a :class:`DenoiserSpec` that gives one
-    a parameter is a ValueError, and on the command line exit code 2.
 
     Args:
         name: registry key for config files and the command line.
@@ -353,7 +319,7 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
         raise ValueError("denoiser name must be a non-empty string")
     if name in _REGISTRY:
         raise ValueError(f"denoiser {name!r} is already registered")
-    _REGISTRY[name] = (fn, {})
+    _REGISTRY[name] = fn
 
 
 def available_denoisers() -> tuple[str, ...]:
@@ -364,8 +330,7 @@ def _denoise_planes(spec: DenoiserSpec, planes: np.ndarray, sigma: float) -> np.
     """:func:`denoise` on a (channels, rows, cols) array, returning an array."""
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    fn = _REGISTRY[spec.kind][0]
-    out = np.asarray(fn(planes, float(sigma), **spec.params), dtype=np.float64)
+    out = np.asarray(_REGISTRY[spec.kind](planes, float(sigma)), dtype=np.float64)
     if out.shape != planes.shape:
         raise ComputeError(
             f"denoiser {spec.kind!r} changed the volume shape: "

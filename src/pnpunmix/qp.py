@@ -271,9 +271,7 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray):
     return a, iters, done, shifted
 
 
-def solve_simplex_qp(
-    problem: QpProblem, warm_start: np.ndarray | None = None
-) -> QpSolution:
+def solve_simplex_qp(problem: QpProblem) -> QpSolution:
     """Solve one pixel's simplex QP to the KKT tolerance QP_TOL.
 
     QP_TOL applies to the power-of-two-normalised problem (trace(Q)/P
@@ -281,26 +279,10 @@ def solve_simplex_qp(
     returned kkt_residual is in the caller's units.
     Hitting the QP_MAX_SWEEPS budget returns the last (always feasible)
     iterate with converged=False; a q too small to normalise raises
-    ComputeError.
-
-    Args:
-        problem: validated QP data.
-        warm_start: optional starting point; must be near the simplex
-            (clamped and renormalized), defaults to the barycenter.
+    ComputeError.  The solve starts from the barycentre.
     """
     p = problem.size
-    if warm_start is None:
-        a0 = np.full((p, 1), 1.0 / p)
-    else:
-        w = np.asarray(warm_start, dtype=np.float64)
-        if w.shape != (p,):
-            raise ShapeError(f"warm start must have shape ({p},), got {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("warm start must be finite")
-        if w.min() < -1e-9 or abs(w.sum() - 1.0) > 1e-6:
-            raise ValueError("warm start must lie on the unit simplex")
-        w = np.maximum(w, 0.0)
-        a0 = (w / w.sum())[:, None]
+    a0 = np.full((p, 1), 1.0 / p)
     a, iters, conv, shifted = _solve_batch(problem.q, problem.f[:, None], a0)
     return QpSolution(
         a=a[:, 0],

@@ -6,7 +6,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pnpunmix
 from pnpunmix.cli import _UNMIX_OPTS, _build_parser, main
 from pnpunmix.cube import PixelMatrix, fold, unfold
 from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
@@ -293,17 +297,24 @@ class TestUnmixCommand:
                    if isinstance(a, argparse._SubParsersAction))
         offered = {s for a in sub.choices["unmix"]._actions for s in a.option_strings}
         assert offered == ({opt.flag for opt in _UNMIX_OPTS}
-                           | {"--config", "--denoiser-param", "-h", "--help"})
+                           | {"--config", "-h", "--help"})
         capsys.readouterr()
-        for gone in ("--no-maps", "--no-trace", "--no-metrics"):
-            assert run_unmix(scene_dir, tmp_path / "gone", gone) == 2
-            assert gone in capsys.readouterr().err
-        cfg = tmp_path / "stale.cfg"
-        cfg.write_text("emit_maps = false\n")
-        assert run_unmix(scene_dir, tmp_path / "stale", "--config", str(cfg)) == 2
-        assert capsys.readouterr().err == (
-            f"pnpunmix: error [configuration]: unknown config key 'emit_maps' in {cfg}\n")
-        assert not (tmp_path / "gone").exists() and not (tmp_path / "stale").exists()
+        for gone in (["--no-maps"], ["--no-trace"], ["--no-metrics"],
+                     ["--denoiser-param", "h_scale=2"]):
+            assert run_unmix(scene_dir, tmp_path / "gone", *gone) == 2
+            assert gone[0] in capsys.readouterr().err
+        for key, value in (("emit_maps", "false"), ("denoiser.h_scale", "2")):
+            cfg = tmp_path / "stale.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            assert run_unmix(scene_dir, tmp_path / "stale", "--config", str(cfg)) == 2
+            assert capsys.readouterr().err == (
+                f"pnpunmix: error [configuration]: unknown config key {key!r} in {cfg}\n")
+        assert main(["denoise", "--input", str(scene_dir / "noisy.raw"),
+                     "--out", str(tmp_path / "gone.raw"), "--kind", "tv",
+                     "--sigma", "0.1", "--param", "iters=5"]) == 2
+        assert "--param" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists()
+                       for name in ("gone", "stale", "gone.raw", "gone.hdr"))
 
     def test_unknown_config_key_is_usage_error(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -315,45 +326,6 @@ class TestUnmixCommand:
         assert main(["unmix", "--mode", "pro-a"]) == 2
         err = capsys.readouterr().err
         assert "--cube" in err and "--out" in err
-
-    def test_denoiser_params_flow_through(self, scene_dir, tmp_path):
-        out = tmp_path / "run"
-        code = run_unmix(
-            scene_dir, out, "--denoiser", "gaussian", "--max-iter", "2",
-            "--denoiser-param", "sigma_spatial=0.8",
-        )
-        assert code == 0
-
-    def test_bad_denoiser_param_is_usage_error(self, scene_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        code = run_unmix(scene_dir, out, "--denoiser", "gaussian",
-                         "--denoiser-param", "bogus=1")
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
-        code = run_unmix(scene_dir, out, "--denoiser", "nlm",
-                         "--denoiser-param", "h_scale=abc")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "[configuration]" in err and "h_scale" in err
-        assert "Traceback" not in err
-
-    def test_plugin_parameter_is_configuration_error(self, tmp_path, capsys):
-        calls = []
-        try:
-            register_denoiser("cli-no-params", lambda vol, sigma: calls.append(1) or vol)
-        except ValueError:
-            pass
-        # the inputs do not exist, so reaching input parsing would fail there
-        code = main([
-            "unmix", "--cube", str(tmp_path / "absent.raw"),
-            "--endmembers", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o"),
-            "--mode", "pro-a", "--denoiser", "cli-no-params", "--denoiser-param", "k=1",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "[configuration]" in err and "'k'" in err
-        assert calls == []
-        assert not (tmp_path / "o").exists()
 
     def test_infinite_snr_runs_nan_snr_is_usage_error(self, scene_dir, tmp_path, capsys):
         assert run_unmix(scene_dir, tmp_path / "inf", "--denoiser", "identity",
@@ -484,8 +456,7 @@ class TestDenoiseCommand:
     def test_gaussian_filter_changes_values_keeps_shape(self, scene_dir, tmp_path):
         out = tmp_path / "filtered.raw"
         code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
-                     "--out", str(out), "--kind", "gaussian", "--sigma", "0.1",
-                     "--param", "sigma_spatial=1.0"])
+                     "--out", str(out), "--kind", "gaussian", "--sigma", "0.1"])
         assert code == 0
         filtered = read_cube(out)
         noisy = read_cube(scene_dir / "noisy.raw")
@@ -494,18 +465,20 @@ class TestDenoiseCommand:
 
     @pytest.mark.parametrize("kind, params", [
         ("identity", {}),
-        ("gaussian", {"sigma_spatial": 0.7}),
-        ("nlm", {"search_radius": 2}),
-        ("tv", {"iters": 5}),
+        ("gaussian", {"GAUSSIAN_WIDTH": 0.7}),
+        ("nlm", {"NLM_SEARCH_RADIUS": 2}),
+        ("tv", {"TV_ITERS": 5}),
     ])
     def test_writes_the_library_bytes_for_every_built_in(self, scene_dir, tmp_path,
-                                                         kind, params):
+                                                         kind, params, monkeypatch):
+        # each built-in at settings other than its defaults
+        for name, value in params.items():
+            monkeypatch.setattr(sys.modules["pnpunmix.denoise"], name, value)
         noisy = scene_dir / "noisy.raw"
         out, ref = tmp_path / "filtered.raw", tmp_path / "reference.raw"
-        argv = ["denoise", "--input", str(noisy), "--out", str(out), "--kind", kind,
-                "--sigma", "0.1"]
-        assert main(argv + [f"--param={k}={v}" for k, v in params.items()]) == 0
-        write_cube(ref, denoise(DenoiserSpec(kind, params), read_cube(noisy), 0.1))
+        assert main(["denoise", "--input", str(noisy), "--out", str(out), "--kind", kind,
+                     "--sigma", "0.1"]) == 0
+        write_cube(ref, denoise(DenoiserSpec(kind), read_cube(noisy), 0.1))
         for suffix in (".raw", ".hdr"):
             assert (out.with_suffix(suffix).read_bytes()
                     == ref.with_suffix(suffix).read_bytes())
@@ -559,14 +532,6 @@ class TestDenoiseCommand:
         assert "float32 range" in err and err.count("\n") == 1
         assert not (tmp_path / "x.raw").exists() and not (tmp_path / "x.hdr").exists()
 
-    def test_non_numeric_param_is_usage_error(self, scene_dir, tmp_path, capsys):
-        code = main(["denoise", "--input", str(scene_dir / "noisy.raw"),
-                     "--out", str(tmp_path / "x.raw"), "--kind", "nlm",
-                     "--sigma", "0.1", "--param", "h_scale=abc"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "[configuration]" in err and "h_scale" in err
-
 
 class TestThinImages:
     @pytest.mark.parametrize("rows, cols", [(1, 12), (12, 1)])
@@ -594,6 +559,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--mode", "pro-a"])
         assert code == 2
         assert "input parsing" in capsys.readouterr().err
+
+    def test_library_warning_prints_as_one_pnpunmix_line(self, scene_dir, tmp_path):
+        # pytest records warnings instead of printing them, so the command
+        # runs in a child process
+        rows = list(csv.reader((scene_dir / "endmembers.csv").read_text().splitlines()))
+        rows[1][0] = "1.5"
+        with (tmp_path / "bright.csv").open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        src = str(Path(pnpunmix.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnpunmix", "unmix", "--cube", str(scene_dir / "noisy.raw"),
+             "--endmembers", str(tmp_path / "bright.csv"), "--out", str(tmp_path / "o"),
+             "--mode", "pro-a", "--denoiser", "identity", "--max-iter", "2"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "pnpunmix: warning: endmember values fall outside [0, 1]\n"
+        # in process, the formatter is bound only while the command runs
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning, match="outside"):
+            assert main(["unmix", "--cube", str(scene_dir / "noisy.raw"),
+                         "--endmembers", str(tmp_path / "bright.csv"),
+                         "--out", str(tmp_path / "p"), "--mode", "pro-a",
+                         "--denoiser", "identity", "--max-iter", "2"]) == 0
+        assert warnings.formatwarning is before
 
     def test_band_mismatch_is_shape_error(self, scene_dir, tmp_path, capsys):
         wrong = EndmemberMatrix(np.array([[0.2, 0.8], [0.7, 0.3], [0.5, 0.6]]))

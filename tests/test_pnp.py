@@ -233,11 +233,12 @@ def test_rmse_trace_needs_truth():
     assert all(r.rmse is None for r in state.iterations)
 
 
-def test_same_seed_bitwise_reproducible():
+def test_same_seed_bitwise_reproducible(monkeypatch):
+    monkeypatch.setattr(sys.modules["pnpunmix.denoise"], "NLM_SEARCH_RADIUS", 3)
     em, truth, clean, noisy = _scene()
     cfg = PnpConfig(
         mode="pro-a",
-        denoiser=DenoiserSpec("nlm", {"search_radius": 3}),
+        denoiser=DenoiserSpec("nlm"),
         rho0=1.0,
         lam=1e-3,
         alpha=1.1,

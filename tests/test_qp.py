@@ -100,15 +100,17 @@ def test_objective_trace_monotone(monkeypatch):
 
 
 def test_warm_start_never_worse_than_start():
+    # the loop warm-starts each A-step at the previous iterate
     rng = np.random.default_rng(5)
     b = rng.standard_normal((4, 4))
-    problem = QpProblem(b.T @ b + 0.1 * np.eye(4), rng.standard_normal(4))
+    q, f = b.T @ b + 0.1 * np.eye(4), rng.standard_normal(4)
+    problem = QpProblem(q, f)
     start = np.array([0.1, 0.2, 0.3, 0.4])
-    sol = solve_simplex_qp(problem, warm_start=start)
-    assert _objective(problem, sol.a) <= _objective(problem, start) + 1e-12
+    a = qp._solve_batch(q, f[:, None], start[:, None])[0][:, 0]
+    assert _objective(problem, a) <= _objective(problem, start) + 1e-12
     # warm starting at the solution stays at the solution
-    again = solve_simplex_qp(problem, warm_start=sol.a)
-    assert_allclose(again.a, sol.a, rtol=0, atol=1e-12)
+    again = qp._solve_batch(q, f[:, None], a[:, None])[0][:, 0]
+    assert_allclose(again, a, rtol=0, atol=1e-12)
 
 
 def test_deterministic_reruns():
@@ -317,8 +319,8 @@ def test_one_hot_value_keeps_every_column_on_the_simplex(k, band, pixel, seed, m
 
 
 def _warm_starts(rng, count, pixels):
-    # simplex points with exact zeros, vertices included, normalised the
-    # way solve_simplex_qp normalises a warm start
+    # simplex points with exact zeros, vertices included, clamped and
+    # renormalised so each column sums to 1 to within rounding
     w = rng.dirichlet(np.full(count, 0.5), size=pixels).T
     w[rng.random(w.shape) < 0.4] = 0.0
     empty = ~w.any(axis=0)
@@ -341,8 +343,8 @@ def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log
                                                  data):
     # the loop's A-step: Q = M'M + rho I from warm starts on the simplex.
     # With B < P and a tiny rho a face is singular and takes the shifted
-    # retry; every column still gets the same bytes alone, in any
-    # sub-batch and through solve_simplex_qp
+    # retry; every column still gets the same bytes alone and in any
+    # sub-batch
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.05, 0.95, size=(bands, count))
     q = m.T @ m + 10.0**log_rho * np.eye(count)
@@ -359,10 +361,6 @@ def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log
         alone = qp._solve_batch(q, fs[:, j : j + 1], a0[:, j : j + 1])
         for got, want in zip(alone, batch):
             assert_array_equal(got, want[..., j : j + 1])
-        sol = solve_simplex_qp(QpProblem(q, fs[:, j]), warm_start=a0[:, j])
-        assert_array_equal(sol.a, batch[0][:, j])
-        assert (sol.iterations, sol.converged, sol.shifted) == (
-            batch[1][j], batch[2][j], batch[3][j])
 
 
 def test_fcls_batch_invariant_past_64_endmembers():
