@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from pnpunmix import (
-    SceneSpec, make_scene, DenoiserSpec, denoise, available_denoisers,
+    SceneSpec, make_scene, denoise, available_denoisers,
     register_denoiser, write_graymap, HsiCube,
 )
 
@@ -58,7 +58,7 @@ write_graymap(out / "clean.pgm", to_unit(clean_plane))
 for kind in available_denoisers():
     row = []
     for sigma in (0.5 * noise_rms, noise_rms, 2.0 * noise_rms):
-        filtered = denoise(DenoiserSpec(kind), single, sigma).values[0]
+        filtered = denoise(kind, single, sigma).values[0]
         err = float(np.sqrt(np.mean((filtered - clean_plane) ** 2)))
         row.append(f"sigma {sigma:.3f} -> rms {err:.4f}")
         if sigma == noise_rms:

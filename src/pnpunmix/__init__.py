@@ -19,12 +19,7 @@ Custom priors plug in through :func:`register_denoiser`.
 """
 
 from .cube import HsiCube, PixelMatrix, fold, unfold
-from .denoise import (
-    DenoiserSpec,
-    available_denoisers,
-    denoise,
-    register_denoiser,
-)
+from .denoise import available_denoisers, denoise, register_denoiser
 from .errors import ComputeError, FileFormatError, ShapeError
 from .io import (
     read_abundances,
@@ -71,7 +66,6 @@ __all__ = [
     "QpSolution",
     "solve_simplex_qp",
     "fcls",
-    "DenoiserSpec",
     "denoise",
     "register_denoiser",
     "available_denoisers",

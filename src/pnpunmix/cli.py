@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .cube import fold
-from .denoise import DenoiserSpec, available_denoisers, denoise
+from .denoise import _registered, available_denoisers, denoise
 from .errors import ComputeError, FileFormatError, ShapeError
 from .io import (
     _read_pixels,
@@ -225,7 +225,7 @@ def cmd_eval(args) -> int:
 
 def cmd_denoise(args) -> int:
     with _phase("configuration"):
-        spec = DenoiserSpec(args.kind)
+        _registered(args.kind)
     # checked before any input is read, under the stage it configures
     with _phase("denoising"):
         if not 0.0 <= args.sigma < float("inf"):
@@ -233,7 +233,7 @@ def cmd_denoise(args) -> int:
     with _phase("input parsing"):
         cube = read_cube(args.input)
     with _phase("denoising"):
-        filtered = denoise(spec, cube, args.sigma)
+        filtered = denoise(args.kind, cube, args.sigma)
     with _phase("output writing"):
         write_cube(Path(args.out), filtered)
     print(f"wrote {args.out}")

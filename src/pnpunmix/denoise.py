@@ -24,7 +24,6 @@ External ones (a learned prior, say) plug in through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,7 +32,6 @@ from .cube import HsiCube
 from .errors import ComputeError
 
 __all__ = [
-    "DenoiserSpec",
     "denoise",
     "gaussian_filter",
     "nlm_filter",
@@ -41,24 +39,6 @@ __all__ = [
     "register_denoiser",
     "available_denoisers",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class DenoiserSpec:
-    """The registered kind of denoiser to run.
-
-    ``gaussian`` ignores sigma: its strength is GAUSSIAN_WIDTH alone, so
-    in ``unmix`` lambda has no effect on it and only rho0 moves the result.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _REGISTRY:
-            raise ValueError(
-                f"unknown denoiser {self.kind!r}; "
-                f"available: {', '.join(available_denoisers())}"
-            )
 
 
 # the built-ins' settings, at which the presets' (rho0, lambda) were tuned:
@@ -291,7 +271,8 @@ def tv_denoise(band: np.ndarray, sigma: float) -> np.ndarray:
     return best
 
 
-# kind -> fn(volume, sigma) -> volume
+# kind -> fn(volume, sigma) -> volume; ``gaussian`` ignores sigma (its strength
+# is GAUSSIAN_WIDTH alone), so in ``unmix`` lambda has no effect on it, only rho0
 _REGISTRY: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
     "identity": lambda volume, sigma: volume,
     "gaussian": lambda volume, sigma: gaussian_filter(volume),
@@ -326,26 +307,36 @@ def available_denoisers() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _denoise_planes(spec: DenoiserSpec, planes: np.ndarray, sigma: float) -> np.ndarray:
+def _registered(kind: str) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The denoiser registered as ``kind``; any other value is a ValueError."""
+    if not isinstance(kind, str) or kind not in _REGISTRY:
+        raise ValueError(f"unknown denoiser {kind!r}; "
+                         f"available: {', '.join(available_denoisers())}")
+    return _REGISTRY[kind]
+
+
+def _denoise_planes(kind: str, planes: np.ndarray, sigma: float) -> np.ndarray:
     """:func:`denoise` on a (channels, rows, cols) array, returning an array."""
+    fn = _registered(kind)
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    out = np.asarray(_REGISTRY[spec.kind](planes, float(sigma)), dtype=np.float64)
+    out = np.asarray(fn(planes, float(sigma)), dtype=np.float64)
     if out.shape != planes.shape:
         raise ComputeError(
-            f"denoiser {spec.kind!r} changed the volume shape: "
+            f"denoiser {kind!r} changed the volume shape: "
             f"{planes.shape} -> {out.shape}"
         )
     if not np.isfinite(out).all():
-        raise ComputeError(f"denoiser {spec.kind!r}: cube must be finite (no NaN or Inf)")
+        raise ComputeError(f"denoiser {kind!r}: cube must be finite (no NaN or Inf)")
     return out
 
 
-def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
-    """Apply the selected denoiser to a cube at noise level sigma.
+def denoise(kind: str, volume: HsiCube, sigma: float) -> HsiCube:
+    """Apply the denoiser registered as ``kind`` to a cube at noise level sigma.
 
     Args:
-        spec: denoiser selection, see :class:`DenoiserSpec`.
+        kind: a name from :func:`available_denoisers`; any other value is
+            a ValueError.
         volume: input cube.
         sigma: nonnegative noise level handed to the denoiser.
 
@@ -353,4 +344,4 @@ def denoise(spec: DenoiserSpec, volume: HsiCube, sigma: float) -> HsiCube:
         A cube of the same shape; a shape-changing denoiser or non-finite
         output is a ComputeError.  The denoiser's own exceptions propagate.
     """
-    return HsiCube(_denoise_planes(spec, volume.values, sigma))
+    return HsiCube(_denoise_planes(kind, volume.values, sigma))

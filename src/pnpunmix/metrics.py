@@ -15,7 +15,7 @@ import numpy as np
 
 from .cube import PixelMatrix
 from .errors import ShapeError
-from .model import AbundanceMatrix, EndmemberMatrix
+from .model import AbundanceMatrix, EndmemberMatrix, _check_count
 
 __all__ = ["rmse", "psnr", "reconstruction_error", "MetricsReport", "evaluate"]
 
@@ -158,11 +158,7 @@ def _evaluate(
     returned next to the report (else None).  A reconstruction that is not
     finite, or that float32 cannot hold, raises ValueError.
     """
-    if endmembers.count != estimate.endmembers:
-        raise ShapeError(
-            f"{endmembers.count} endmember columns vs "
-            f"{estimate.endmembers} abundance rows"
-        )
+    _check_count(endmembers, estimate)
     shape = (endmembers.bands, estimate.pixels)
     _same_shape(observed.values.shape, shape)
     if clean is not None:

@@ -106,6 +106,13 @@ class AbundanceMatrix(PixelMatrix):
         return self.values.shape[0]
 
 
+def _check_count(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> None:
+    """ShapeError unless there is one abundance row per endmember column."""
+    if endmembers.count != abundances.endmembers:
+        raise ShapeError(f"{endmembers.count} endmember columns vs "
+                         f"{abundances.endmembers} abundance rows")
+
+
 def mix(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix:
     """Forward model: spectra for every pixel, Y = M A.
 
@@ -113,11 +120,7 @@ def mix(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix
         PixelMatrix of shape (bands, pixels) carrying the abundance grid's
         spatial dimensions; its array is the product itself, not a copy.
     """
-    if endmembers.count != abundances.endmembers:
-        raise ShapeError(
-            f"{endmembers.count} endmember columns vs "
-            f"{abundances.endmembers} abundance rows"
-        )
+    _check_count(endmembers, abundances)
     y = endmembers.values @ abundances.values
     # read-only, so the container adopts the product instead of copying it
     y.setflags(write=False)

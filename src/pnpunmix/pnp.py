@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import PixelMatrix, _to_pixels, _to_planes
-from .denoise import DenoiserSpec, _denoise_planes
+from .denoise import _denoise_planes, _registered
 from .errors import ComputeError, ShapeError
 from .metrics import _rmse
 from .model import AbundanceMatrix, EndmemberMatrix
@@ -69,11 +69,6 @@ PRESETS: dict[tuple[str, str, int], tuple[float, float]] = {
 }
 
 
-# natural logs of the largest float and the smallest positive one
-_LOG_MAX = math.log(sys.float_info.max)
-_LOG_MIN = math.log(math.ulp(0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class PnpConfig:
     """Knobs of the unmixing loop.
@@ -81,7 +76,7 @@ class PnpConfig:
     Args:
         mode: "pro-h" (prior on reconstructed spectra) or "pro-a"
             (prior on abundance planes).
-        denoiser: prior selection.
+        denoiser: registered name of the prior, see ``available_denoisers``.
         rho0: initial coupling weight, > 0.
         lam: prior weight lambda, > 0; the denoiser sees
             sigma = sqrt(lam / rho_k).
@@ -94,12 +89,13 @@ class PnpConfig:
             Zero disables the early stop and runs all max_iter rounds.
             The last iterate is returned, not a best-so-far.
 
-    Settings under which some rho_k or sigma_k with k < max_iter would not
-    be finite and positive are refused with a ValueError.
+    An unregistered denoiser, and settings under which some rho_k or
+    sigma_k with k < max_iter would not be finite and positive, are
+    refused with a ValueError.
     """
 
     mode: str
-    denoiser: DenoiserSpec
+    denoiser: str
     rho0: float
     lam: float
     alpha: float = 1.0
@@ -107,10 +103,9 @@ class PnpConfig:
     stop_tol: float = 1e-4
 
     def __post_init__(self):
+        _registered(self.denoiser)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.denoiser, DenoiserSpec):
-            raise ValueError("denoiser must be a DenoiserSpec")
         if not (np.isfinite(self.rho0) and self.rho0 > 0):
             raise ValueError(f"rho0 must be > 0, got {self.rho0}")
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -121,20 +116,24 @@ class PnpConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        # rho_k = rho0 * alpha^k grows with k and sigma_k^2 = lam / rho_k
-        # shrinks, so k = 0 and k = max_iter - 1 bound both; compared in log
-        # space, where no bound overflows (no loop gets past sys.maxsize steps)
-        growth = min(self.max_iter - 1, sys.maxsize) * math.log(self.alpha)
-        if max(growth, math.log(self.rho0) + growth) > _LOG_MAX:
-            raise ValueError(f"alpha^k or rho_k = rho0 * alpha^k overflows by "
-                             f"k = max_iter - 1 (rho0 {self.rho0}, alpha "
-                             f"{self.alpha}, max_iter {self.max_iter})")
-        log_sigma0_sq = math.log(self.lam) - math.log(self.rho0)
-        if not (log_sigma0_sq <= _LOG_MAX and log_sigma0_sq - growth >= _LOG_MIN):
-            raise ValueError(f"sigma_k = sqrt(lambda / rho_k) is not finite and "
-                             f"positive for every k < max_iter (lambda {self.lam}, "
-                             f"rho0 {self.rho0}, alpha {self.alpha}, "
-                             f"max_iter {self.max_iter})")
+        # rho_k grows with k and sigma_k shrinks, so the loop's schedule at
+        # k = 0 and k = max_iter - 1 bounds both (no loop passes sys.maxsize)
+        for k in (0, min(int(self.max_iter) - 1, sys.maxsize)):
+            try:
+                rho, sigma = self._schedule(k)
+            except OverflowError:
+                rho = math.inf
+            if rho == math.inf:
+                raise ValueError("alpha^k or rho_k = rho0 * alpha^k overflows by "
+                                 f"k = max_iter - 1: {self}")
+            if not 0.0 < sigma < math.inf:
+                raise ValueError("sigma_k = sqrt(lambda / rho_k) is not finite and "
+                                 f"positive for every k < max_iter: {self}")
+
+    def _schedule(self, k: int) -> tuple[float, float]:
+        """(rho_k, sigma_k) = (rho0 * alpha^k, sqrt(lambda / rho_k)) of iteration k."""
+        rho = float(self.rho0) * float(self.alpha) ** k  # an overflow raises
+        return rho, math.sqrt(float(self.lam) / rho)
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,7 @@ def unmix(
 
     records: list[IterationRecord] = []
     for k in range(cfg.max_iter):
-        rho_k = cfg.rho0 * cfg.alpha**k
-        sigma_k = float(np.sqrt(cfg.lam / rho_k))
+        rho_k, sigma_k = cfg._schedule(k)
         tic = time.perf_counter()
         try:
             planes = _to_planes(ha + u, rows, cols)
@@ -312,6 +310,7 @@ def default_config(mode: str, denoiser_kind: str, snr_db: float = 20.0, **overri
     if math.isnan(snr_db):
         raise ValueError(f"snr_db must be a number, got {snr_db}")
     level = int(round(snr_db)) if math.isfinite(snr_db) else None
+    _registered(denoiser_kind)  # before it keys the presets, which need it hashable
     rho0, lam = PRESETS.get((mode, denoiser_kind, level), (1.0, 1e-3))
-    return PnpConfig(**{"mode": mode, "denoiser": DenoiserSpec(denoiser_kind),
+    return PnpConfig(**{"mode": mode, "denoiser": denoiser_kind,
                         "rho0": rho0, "lam": lam, **overrides})

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import pnpunmix
 from pnpunmix.cli import _UNMIX_OPTS, _build_parser, main
 from pnpunmix.cube import PixelMatrix, fold, unfold
-from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
+from pnpunmix.denoise import available_denoisers, denoise, register_denoiser
 from pnpunmix.io import (
     read_abundances,
     read_config,
@@ -38,7 +38,7 @@ from pnpunmix.io import (
 )
 from pnpunmix.metrics import evaluate
 from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, mix
-from pnpunmix.pnp import default_config, unmix
+from pnpunmix.pnp import PnpConfig, default_config, unmix
 from pnpunmix.qp import fcls
 from pnpunmix.synth import SceneSpec
 
@@ -478,7 +478,7 @@ class TestDenoiseCommand:
         out, ref = tmp_path / "filtered.raw", tmp_path / "reference.raw"
         assert main(["denoise", "--input", str(noisy), "--out", str(out), "--kind", kind,
                      "--sigma", "0.1"]) == 0
-        write_cube(ref, denoise(DenoiserSpec(kind), read_cube(noisy), 0.1))
+        write_cube(ref, denoise(kind, read_cube(noisy), 0.1))
         for suffix in (".raw", ".hdr"):
             assert (out.with_suffix(suffix).read_bytes()
                     == ref.with_suffix(suffix).read_bytes())
@@ -596,6 +596,25 @@ class TestExitCodes:
                      "--denoiser", "identity"])
         assert code == 3
         assert "unmixing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--stop-tol", "0")],
+                             ids=["default stop rule", "stop-tol 0"])
+    def test_a_schedule_whose_rho_rounds_to_inf_is_a_configuration_error(
+        self, scene_dir, tmp_path, capsys, extra
+    ):
+        # rho_1 = rho0 * alpha rounds past the largest float, though the sum
+        # of their logs does not; run, it exits 0 or 4 (a non-finite Q)
+        out = tmp_path / "run"
+        code = run_unmix(scene_dir, out, "--denoiser", "identity",
+                         "--rho0", "3.044766270477008", "--lam", "19.539137514454772",
+                         "--alpha", "5.904207335365587e+307", "--max-iter", "2", *extra)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(
+            "pnpunmix: error [configuration]: alpha^k or rho_k = rho0 * alpha^k overflows"
+        ), lines[0]
+        assert not out.exists()
 
     def test_truth_on_another_grid_is_shape_error(self, scene_dir, tmp_path, capsys):
         # the 144 pixels of the 12x12 scene, laid out on an 8x18 grid
@@ -918,3 +937,66 @@ def test_one_hot_pixel_unmixes_with_exit_0(tiny_inputs, tmp_path, mode):
     code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path, f"unmix {mode} nlm",
                                           ("noisy.raw", "value", 0, 1e20))
     assert (code, err, caught) == (0, "", [])
+
+
+class TestDenoiserNames:
+    """A denoiser is its registered name, checked alike at every entry."""
+
+    @staticmethod
+    def _entries(scene_dir, tmp_path, kind):
+        # the five entries that take a name: (what it returns, or raises; the
+        # output path that a refused name must leave unwritten, or None)
+        cube = read_cube(scene_dir / "noisy.raw")
+        unmix_out, denoise_out = tmp_path / "unmix", tmp_path / "denoised.raw"
+        return {
+            "PnpConfig": (lambda: PnpConfig("pro-a", kind, 1.0, 1e-3), None),
+            "default_config": (lambda: default_config("pro-a", kind), None),
+            "denoise": (lambda: denoise(kind, cube, 0.1), None),
+            "pnpunmix unmix": (lambda: run_unmix(scene_dir, unmix_out, "--denoiser", kind,
+                                                 "--max-iter", "2"), unmix_out),
+            "pnpunmix denoise": (lambda: main(["denoise", "--input", str(scene_dir / "noisy.raw"),
+                                               "--out", str(denoise_out), "--kind", kind,
+                                               "--sigma", "0.1"]), denoise_out),
+        }
+
+    def test_an_unknown_name_gets_one_message_at_all_five_entries(
+        self, scene_dir, tmp_path, capsys
+    ):
+        message = f"unknown denoiser 'nosuch'; available: {', '.join(available_denoisers())}"
+        for entry, (call, out) in self._entries(scene_dir, tmp_path, "nosuch").items():
+            if out is None:
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == message, entry
+            else:
+                assert call() == 2, entry
+                captured = capsys.readouterr()
+                assert captured.err == f"pnpunmix: error [configuration]: {message}\n", entry
+                assert captured.out == "", entry
+                assert not out.exists(), entry
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene"]
+
+    def test_a_name_registered_after_import_is_accepted_at_all_five_entries(
+        self, scene_dir, tmp_path
+    ):
+        try:
+            register_denoiser("late-halver", lambda volume, sigma: volume * 0.5)
+        except ValueError:
+            pass
+        entries = self._entries(scene_dir, tmp_path, "late-halver")
+        assert entries["PnpConfig"][0]().denoiser == "late-halver"
+        assert entries["default_config"][0]().denoiser == "late-halver"
+        npt.assert_array_equal(entries["denoise"][0]().values,
+                               read_cube(scene_dir / "noisy.raw").values * 0.5)
+        for entry in ("pnpunmix unmix", "pnpunmix denoise"):
+            call, out = entries[entry]
+            assert call() == 0, entry
+            assert out.exists(), entry
+
+    @pytest.mark.parametrize("kind", [None, 3, b"nlm", ["nlm"], {"kind": "nlm"}],
+                             ids=["None", "int", "bytes", "list", "dict"])
+    def test_a_name_that_is_not_a_string_is_a_value_error(self, scene_dir, tmp_path, kind):
+        entries = self._entries(scene_dir, tmp_path, kind)
+        for entry in ("PnpConfig", "default_config", "denoise"):
+            with pytest.raises(ValueError, match="^unknown denoiser "):
+                entries[entry][0]()

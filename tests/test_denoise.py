@@ -24,7 +24,6 @@ from scipy import ndimage
 
 from pnpunmix.cube import HsiCube
 from pnpunmix.denoise import (
-    DenoiserSpec,
     _div,
     _grad,
     available_denoisers,
@@ -332,26 +331,26 @@ def test_tv_single_pixel_band_is_unchanged():
     assert_array_equal(tv_denoise(img, 0.5), img)
 
 
-# ----------------------------------------------------- spec and dispatch
+# ---------------------------------------------------- names and dispatch
 
 
 def test_denoise_identity_exact():
     rng = np.random.default_rng(9)
     cube = HsiCube(rng.uniform(size=(5, 8, 9)))
-    out = denoise(DenoiserSpec("identity"), cube, 0.0)
+    out = denoise("identity", cube, 0.0)
     assert_array_equal(out.values, cube.values)
 
 
 def test_denoise_unknown_kind():
     cube = HsiCube(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="identity"):
-        denoise(DenoiserSpec("nope"), cube, 0.1)
+        denoise("nope", cube, 0.1)
 
 
 def test_denoise_negative_sigma_rejected():
     cube = HsiCube(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="sigma"):
-        denoise(DenoiserSpec("identity"), cube, -0.5)
+        denoise("identity", cube, -0.5)
 
 
 def test_denoise_gain_on_piecewise_constant():
@@ -364,7 +363,7 @@ def test_denoise_gain_on_piecewise_constant():
     noisy = clean + sigma * rng.standard_normal(clean.shape)
     cube = HsiCube(noisy[None])
     for kind in ("nlm", "tv"):
-        out = denoise(DenoiserSpec(kind), cube, sigma)
+        out = denoise(kind, cube, sigma)
         mse_out = np.mean((out.values[0] - clean) ** 2)
         mse_in = np.mean((noisy - clean) ** 2)
         assert mse_out < mse_in, kind
@@ -374,10 +373,9 @@ def test_denoise_band_permutation_equivariance(monkeypatch):
     monkeypatch.setattr(denoise_module, "TV_ITERS", 8)
     rng = np.random.default_rng(11)
     cube = HsiCube(rng.uniform(size=(6, 16, 16)))
-    spec = DenoiserSpec("tv")
-    out = denoise(spec, cube, 0.2)
+    out = denoise("tv", cube, 0.2)
     perm = np.array([3, 0, 5, 1, 4, 2])
-    out_p = denoise(spec, HsiCube(cube.values[perm]), 0.2)
+    out_p = denoise("tv", HsiCube(cube.values[perm]), 0.2)
     assert_array_equal(out_p.values, out.values[perm])
 
 
@@ -393,7 +391,7 @@ def test_volume_entry_gives_each_band_its_own_filtering(kind, constants, band_fn
         monkeypatch.setattr(denoise_module, name, value)
     rng = np.random.default_rng(12)
     cube = HsiCube(rng.uniform(size=(5, 37, 29)))
-    out = denoise(DenoiserSpec(kind), cube, 0.05)
+    out = denoise(kind, cube, 0.05)
     assert_array_equal(out.values, np.stack([band_fn(band, 0.05) for band in cube.values]))
 
 
@@ -407,7 +405,7 @@ def test_register_custom_denoiser():
     register_denoiser("halver-test", halver)
     assert "halver-test" in available_denoisers()
     cube = HsiCube(np.full((2, 3, 3), 1.0))
-    out = denoise(DenoiserSpec("halver-test"), cube, 0.3)
+    out = denoise("halver-test", cube, 0.3)
     assert_array_equal(out.values, np.full((2, 3, 3), 0.5))
     assert calls == [0.3]
     with pytest.raises(ValueError, match="registered"):
@@ -418,4 +416,4 @@ def test_shape_change_is_an_error():
     register_denoiser("cropper-test", lambda v, s: v[:, 1:, :])
     cube = HsiCube(np.zeros((2, 4, 4)))
     with pytest.raises(ComputeError, match="shape"):
-        denoise(DenoiserSpec("cropper-test"), cube, 0.1)
+        denoise("cropper-test", cube, 0.1)

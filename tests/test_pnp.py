@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import pnpunmix
 from pnpunmix import cube, qp
 from pnpunmix.cube import PixelMatrix, fold, unfold
-from pnpunmix.denoise import DenoiserSpec, denoise, register_denoiser
+from pnpunmix.denoise import denoise, register_denoiser
 from pnpunmix.errors import ComputeError, ShapeError
 from pnpunmix.metrics import rmse
 from pnpunmix.model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
@@ -52,7 +53,7 @@ def _scene(rows=8, cols=8, p=3, bands=16, snr_db=25.0, seed=0):
 def _identity_cfg(mode, **over):
     base = dict(
         mode=mode,
-        denoiser=DenoiserSpec("identity"),
+        denoiser="identity",
         rho0=1e-3,
         lam=1e-3,
         alpha=1.0,
@@ -102,7 +103,7 @@ def test_subspace_proh_matches_the_full_band_loop(kind, alpha):
     # a linear denoiser that treats every band alike keeps the B-band state
     # in span(M), so the P-coefficient loop is the B-band loop up to rounding
     em, truth, clean, noisy = _scene()
-    cfg = _identity_cfg("pro-h", denoiser=DenoiserSpec(kind), rho0=0.5,
+    cfg = _identity_cfg("pro-h", denoiser=kind, rho0=0.5,
                         alpha=alpha, max_iter=8, stop_tol=0.0)
     est, state = unmix(noisy, em, cfg)
     a_ref, z_ref, u_ref = _full_band_proh(noisy, em, cfg)
@@ -238,7 +239,7 @@ def test_same_seed_bitwise_reproducible(monkeypatch):
     em, truth, clean, noisy = _scene()
     cfg = PnpConfig(
         mode="pro-a",
-        denoiser=DenoiserSpec("nlm"),
+        denoiser="nlm",
         rho0=1.0,
         lam=1e-3,
         alpha=1.1,
@@ -261,7 +262,7 @@ def test_abundances_feasible_every_iteration():
     register_denoiser("probe-feasible", probe)
     em, truth, clean, noisy = _scene()
     cfg = _identity_cfg("pro-a", max_iter=4, stop_tol=0.0)
-    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": DenoiserSpec("probe-feasible")})
+    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": "probe-feasible"})
     unmix(noisy, em, cfg)
     # pro-a: the denoiser sees folded abundance-plus-dual planes, one per
     # endmember; the abundance part entered feasible (checked in-loop),
@@ -274,7 +275,7 @@ def test_nan_from_denoiser_names_the_step():
     register_denoiser("poison-test", lambda v, s: v * np.nan)
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     cfg = _identity_cfg("pro-h", max_iter=2)
-    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": DenoiserSpec("poison-test")})
+    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": "poison-test"})
     with pytest.raises(ComputeError, match="z-step"):
         unmix(noisy, em, cfg)
 
@@ -287,7 +288,7 @@ def test_plugin_value_error_propagates_unchanged():
     register_denoiser("raises-value-test", broken)
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     cfg = _identity_cfg("pro-h", max_iter=2)
-    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": DenoiserSpec("raises-value-test")})
+    cfg = PnpConfig(**{**cfg.__dict__, "denoiser": "raises-value-test"})
     with pytest.raises(ValueError, match="^plug-in bug$") as caught:
         unmix(noisy, em, cfg)
     assert type(caught.value) is ValueError
@@ -311,7 +312,7 @@ def test_truth_off_the_data_grid_is_rejected_before_the_first_iteration(grid):
     em, truth, clean, noisy = _scene()
     p, rows, cols = grid
     wrong = AbundanceMatrix(np.full((p, rows * cols), 1.0 / p), rows, cols)
-    cfg = PnpConfig(**{**_identity_cfg("pro-a").__dict__, "denoiser": DenoiserSpec(kind)})
+    cfg = PnpConfig(**{**_identity_cfg("pro-a").__dict__, "denoiser": kind})
     with pytest.raises(ShapeError, match=rf"\({p}, {rows}, {cols}\) vs data \(3, 8, 8\)"):
         unmix(noisy, em, cfg, truth=wrong)
     assert calls == []
@@ -329,7 +330,7 @@ def test_plugin_gets_read_only_c_ordered_planes_in_pixel_order():
     register_denoiser("record-planes", record)
     scene = make_scene(SceneSpec(rows=8, cols=13, endmembers=3, bands=16))
     noisy = unfold(scene.noisy)
-    cfg = PnpConfig(mode="pro-a", denoiser=DenoiserSpec("record-planes"),
+    cfg = PnpConfig(mode="pro-a", denoiser="record-planes",
                     rho0=1.0, lam=1e-3, max_iter=3, stop_tol=0.0)
     unmix(noisy, scene.endmembers, cfg)
     assert len(seen) == 3
@@ -366,7 +367,7 @@ def test_containers_per_unmix_do_not_grow_with_the_budget(mode, monkeypatch):
     per_budget = []
     for max_iter in (1, 5):
         counts.update(arrays=0, abundances=0)
-        cfg = PnpConfig(mode=mode, denoiser=DenoiserSpec("gaussian"), rho0=1.0,
+        cfg = PnpConfig(mode=mode, denoiser="gaussian", rho0=1.0,
                         lam=1e-3, max_iter=max_iter, stop_tol=0.0)
         _, state = unmix(noisy, em, cfg, truth=truth)
         assert len(state.iterations) == max_iter
@@ -375,7 +376,7 @@ def test_containers_per_unmix_do_not_grow_with_the_budget(mode, monkeypatch):
 
 
 def test_config_validation():
-    den = DenoiserSpec("identity")
+    den = "identity"
     with pytest.raises(ValueError, match="mode"):
         PnpConfig(mode="pro-x", denoiser=den, rho0=1.0, lam=1e-3)
     with pytest.raises(ValueError, match="rho0"):
@@ -400,10 +401,15 @@ def test_config_validation():
     (dict(rho0=1e300, lam=1e-300), "sigma_k"),
     # sigma_0 is positive, sigma_4 = sqrt(1e-300 / 1e40) is not
     (dict(lam=1e-300, alpha=1e10, max_iter=5), "sigma_k"),
-], ids=["rho_k", "alpha^k", "long run", "sigma_0 inf", "sigma_0 zero", "sigma_4 zero"])
+    # rho_1 = rho0 * alpha rounds to inf, though log(rho0) + log(alpha) does
+    # not pass log(largest float)
+    (dict(rho0=3.044766270477008, lam=19.539137514454772,
+          alpha=5.904207335365587e+307, max_iter=2), "alpha\\^k"),
+], ids=["rho_k", "alpha^k", "long run", "sigma_0 inf", "sigma_0 zero", "sigma_4 zero",
+        "rho_1 rounds to inf"])
 def test_config_refuses_a_schedule_the_loop_cannot_run(settings, match):
     with pytest.raises(ValueError, match=match):
-        PnpConfig(**{"mode": "pro-a", "denoiser": DenoiserSpec("identity"), "rho0": 1.0,
+        PnpConfig(**{"mode": "pro-a", "denoiser": "identity", "rho0": 1.0,
                      "lam": 1e-3, **settings})
 
 
@@ -414,12 +420,57 @@ def test_config_refuses_a_schedule_the_loop_cannot_run(settings, match):
     dict(max_iter=10**400),
 ], ids=["lam subnormal", "lam huge", "alpha^k near the top", "max_iter beyond floats"])
 def test_config_accepts_extreme_but_runnable_schedules(settings):
-    cfg = PnpConfig(**{"mode": "pro-a", "denoiser": DenoiserSpec("identity"),
+    cfg = PnpConfig(**{"mode": "pro-a", "denoiser": "identity",
                        "rho0": 1.0, "lam": 1e-3, **settings})
     for k in range(min(cfg.max_iter, 5)):
         rho_k = cfg.rho0 * cfg.alpha**k
         sigma_k = math.sqrt(cfg.lam / rho_k)
         assert 0.0 < rho_k < math.inf and 0.0 < sigma_k < math.inf
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    max_iter=st.integers(1, 5),
+    growth=st.floats(0.0, 1.0),
+    rho_edge=st.booleans(),
+    edge=st.floats(-1e-12, 1e-12),
+    lam_kind=st.sampled_from(["subnormal sigma_K-1^2", "subnormal sigma_0^2", "free"]),
+    scale=st.floats(0.25, 4.0),
+)
+def test_config_accepts_exactly_the_schedules_the_loop_can_run(max_iter, growth, rho_edge,
+                                                               edge, lam_kind, scale):
+    # settings at the float edges: rho0 * alpha^(K-1) within 1e-12 of the
+    # largest float, or lambda / rho_k within a few steps of the smallest
+    # subnormal, where rounding decides; PnpConfig must take exactly those
+    # whose every (rho_k, sigma_k), k < K, the loop computes finite and positive
+    big = sys.float_info.max
+    alpha = 2.0 ** (growth * 1023 / max(max_iter - 1, 1))
+    if rho_edge:
+        rho0 = big / alpha ** (max_iter - 1) * (1.0 + edge)
+    else:
+        rho0 = 2.0 ** (60 + 900 * abs(edge) * 1e12)  # lambda below stays normal
+    if lam_kind == "subnormal sigma_K-1^2":
+        lam = min(rho0 * alpha ** (max_iter - 1), big) * scale * math.ulp(0.0)
+    elif lam_kind == "subnormal sigma_0^2":
+        lam = rho0 * scale * math.ulp(0.0)
+    else:
+        lam = 2.0 ** (1000 * (scale - 2.125) / 1.875)
+    knobs = dict(rho0=rho0, lam=lam, alpha=alpha)
+
+    def runnable(k):
+        try:
+            rho, sigma = PnpConfig._schedule(SimpleNamespace(**knobs), k)
+        except OverflowError:
+            return False
+        return rho < math.inf and 0.0 < sigma < math.inf
+
+    expect = math.isfinite(rho0) and lam > 0 and all(map(runnable, range(max_iter)))
+    try:
+        PnpConfig(mode="pro-a", denoiser="identity", max_iter=max_iter, **knobs)
+    except ValueError:
+        assert not expect, knobs
+    else:
+        assert expect, knobs
 
 
 def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
@@ -428,7 +479,7 @@ def test_sweep_budget_misses_are_counted_and_warned_once(monkeypatch):
     em, truth, clean, noisy = _scene()
     with pytest.warns(UserWarning) as record:
         est, state = unmix(noisy, em, _identity_cfg(
-            "pro-a", denoiser=DenoiserSpec("gaussian"), rho0=1.0, max_iter=5
+            "pro-a", denoiser="gaussian", rho0=1.0, max_iter=5
         ))
     missed = sum(r.qp_unconverged for r in state.iterations)
     assert missed > 0
@@ -530,7 +581,7 @@ def test_default_config_resolution():
     assert cfg.alpha == 1.0
     # no table row: generic fallback, still overridable
     cfg = default_config("pro-a", "tv", snr_db=20.0, lam=7e-4, alpha=1.1)
-    assert cfg.denoiser.kind == "tv"
+    assert cfg.denoiser == "tv"
     assert cfg.lam == 7e-4 and cfg.alpha == 1.1
 
 
