@@ -10,10 +10,9 @@ everything behind that step is interchangeable.  Built-ins: ``identity``
 projected gradient).  All are plain numpy, as is the whole package.
 
 Every built-in gives each channel what filtering that channel alone
-gives, with replicate borders, on one thread: ``nlm`` and ``gaussian``
-filter blocks of whole channels (up to BLOCK_PIXELS pixels) in one
-pass, ``tv`` goes band by band.  Their settings are the module
-constants below, read at call time.
+gives, with replicate borders, on one thread, filtering blocks of whole
+channels (up to BLOCK_PIXELS pixels) in one pass.  Their settings are
+the module constants below, read at call time.
 Every denoiser, built-in or plug-in, is a callable ``fn(volume, sigma)
 -> array``: ``volume`` is a read-only, C-contiguous float64 (channels,
 rows, cols) array, and the result is a new array of that shape.
@@ -51,10 +50,9 @@ NLM_SEARCH_RADIUS = 5
 NLM_H_SCALE = 10.0
 TV_ITERS = 30
 
-# pixels per block: ``gaussian`` and ``nlm`` filter whole channels
-# together up to this many, so their temporaries stay a few blocks in size
-# on any volume, while small volumes (pro-h's few coefficient images) pass
-# in one block
+# pixels per block: the built-ins filter whole channels together up to this
+# many, so their temporaries stay a few blocks in size on any volume, while
+# small volumes (pro-h's few coefficient images) pass in one block
 BLOCK_PIXELS = 1 << 16
 
 
@@ -207,68 +205,58 @@ def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:
 
 
 def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:-1, :] = u[1:, :] - u[:-1, :]
-    gy[:, :-1] = u[:, 1:] - u[:, :-1]
+    gx, gy = np.zeros_like(u), np.zeros_like(u)
+    gx[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
+    gy[..., :-1] = u[..., 1:] - u[..., :-1]
     return gx, gy
 
 
 def _div(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    # negative adjoint of _grad: <grad u, p> = -<u, div p>; an axis of
-    # length 1 has no differences, so its term is zero
+    # negative adjoint of _grad on the last two axes: <grad u, p> =
+    # -<u, div p>; an axis of length 1 has no differences, so its term is zero
     out = np.zeros_like(p1)
-    if p1.shape[0] > 1:
-        out[0, :] = p1[0, :]
-        out[1:-1, :] = p1[1:-1, :] - p1[:-2, :]
-        out[-1, :] = -p1[-2, :]
-    if p1.shape[1] > 1:
-        out[:, 0] += p2[:, 0]
-        out[:, 1:-1] += p2[:, 1:-1] - p2[:, :-2]
-        out[:, -1] += -p2[:, -2]
+    if p1.shape[-2] > 1:
+        out[..., 0, :] = p1[..., 0, :]
+        out[..., 1:-1, :] = p1[..., 1:-1, :] - p1[..., :-2, :]
+        out[..., -1, :] = -p1[..., -2, :]
+    if p1.shape[-1] > 1:
+        out[..., 0] += p2[..., 0]
+        out[..., 1:-1] += p2[..., 1:-1] - p2[..., :-2]
+        out[..., -1] += -p2[..., -2]
     return out
 
 
-def _rof_energy(u: np.ndarray, f: np.ndarray, mu: float) -> float:
-    gx, gy = _grad(u)
-    return float(0.5 * np.sum((u - f) ** 2) + mu * np.sum(np.sqrt(gx**2 + gy**2)))
-
-
-def tv_denoise(band: np.ndarray, sigma: float) -> np.ndarray:
+def tv_denoise(volume: np.ndarray, sigma: float) -> np.ndarray:
     """Total-variation denoising, min over u of ||u-f||^2/2 + mu*TV(u).
 
-    mu = sigma.  The dual variable takes TV_ITERS projected-gradient steps of
-    length 1/8 (the inverse Lipschitz bound of the discrete gradient);
-    among the primal candidates, the one with the lowest energy is kept,
-    the input included, and candidates are clipped to the input range
-    (which can only lower the energy), so the returned energy never
-    exceeds the input's.  sigma = 0 returns the input.
+    mu = sigma.  Chambolle's dual projection takes TV_ITERS steps of length
+    1/8 (the inverse Lipschitz bound of the discrete gradient); the primal
+    point of the last is returned, clipped to each plane's input range.
+    sigma = 0 returns a copy, and a plane whose dual steps overflow (a tiny
+    mu, say) comes back unchanged: the mu -> 0 limit.  ``volume`` is one
+    plane or a stack (..., rows, cols), filtered in blocks of whole channels.
     """
-    f = np.asarray(band, dtype=np.float64)
+    volume = np.asarray(volume, dtype=np.float64)
     mu = float(sigma)
     if mu == 0.0:
-        return f.copy()
-    lo, hi = float(f.min()), float(f.max())
-    p1 = np.zeros_like(f)
-    p2 = np.zeros_like(f)
-    best = f.copy()
-    best_energy = _rof_energy(f, f, mu)
+        return volume.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _by_blocks(volume, lambda block: _tv_block(block, mu))
+
+
+def _tv_block(f: np.ndarray, mu: float) -> np.ndarray:
+    """tv_denoise on a (channels, rows, cols) block."""
+    p1, p2 = np.zeros_like(f), np.zeros_like(f)
     for _ in range(TV_ITERS):
-        u = f + mu * _div(p1, p2)
-        gx, gy = _grad(u)
-        # at a tiny mu the dual steps overflow, and then no candidate beats
-        # the input's energy, so the input is kept: the mu -> 0 limit
-        with np.errstate(over="ignore", invalid="ignore"):
-            p1 = p1 + (0.125 / mu) * gx
-            p2 = p2 + (0.125 / mu) * gy
-            norm = np.maximum(1.0, np.sqrt(p1**2 + p2**2))
-            p1 /= norm
-            p2 /= norm
-            cand = np.clip(f + mu * _div(p1, p2), lo, hi)
-            energy = _rof_energy(cand, f, mu)
-        if energy < best_energy:
-            best, best_energy = cand, energy
-    return best
+        gx, gy = _grad(f + mu * _div(p1, p2))
+        p1 = p1 + (0.125 / mu) * gx
+        p2 = p2 + (0.125 / mu) * gy
+        norm = np.maximum(1.0, np.sqrt(p1**2 + p2**2))
+        p1 /= norm
+        p2 /= norm
+    lo, hi = f.min(axis=(1, 2), keepdims=True), f.max(axis=(1, 2), keepdims=True)
+    u = np.clip(f + mu * _div(p1, p2), lo, hi)
+    return np.where(np.isfinite(u).all(axis=(1, 2), keepdims=True), u, f)
 
 
 # kind -> fn(volume, sigma) -> volume; ``gaussian`` ignores sigma (its strength
@@ -277,7 +265,7 @@ _REGISTRY: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
     "identity": lambda volume, sigma: volume,
     "gaussian": lambda volume, sigma: gaussian_filter(volume),
     "nlm": nlm_filter,
-    "tv": lambda volume, sigma: np.stack([tv_denoise(band, sigma) for band in volume]),
+    "tv": tv_denoise,
 }
 
 
@@ -300,6 +288,8 @@ def register_denoiser(name: str, fn: Callable[[np.ndarray, float], np.ndarray]) 
         raise ValueError("denoiser name must be a non-empty string")
     if name in _REGISTRY:
         raise ValueError(f"denoiser {name!r} is already registered")
+    if not callable(fn):
+        raise ValueError(f"denoiser {name!r} must be callable, got {fn!r}")
     _REGISTRY[name] = fn
 
 

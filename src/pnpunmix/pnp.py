@@ -34,6 +34,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -69,6 +70,11 @@ PRESETS: dict[tuple[str, str, int], tuple[float, float]] = {
 }
 
 
+def _check_mode(mode: str) -> None:
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PnpConfig:
     """Knobs of the unmixing loop.
@@ -89,9 +95,9 @@ class PnpConfig:
             Zero disables the early stop and runs all max_iter rounds.
             The last iterate is returned, not a best-so-far.
 
-    An unregistered denoiser, and settings under which some rho_k or
-    sigma_k with k < max_iter would not be finite and positive, are
-    refused with a ValueError.
+    An unknown denoiser or mode, a setting that is not a real number,
+    and settings under which some rho_k or sigma_k with k < max_iter
+    would not be finite and positive are refused with a ValueError.
     """
 
     mode: str
@@ -104,18 +110,17 @@ class PnpConfig:
 
     def __post_init__(self):
         _registered(self.denoiser)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (np.isfinite(self.rho0) and self.rho0 > 0):
-            raise ValueError(f"rho0 must be > 0, got {self.rho0}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if not (np.isfinite(self.alpha) and self.alpha >= 1.0):
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        _check_mode(self.mode)
+        if not (isinstance(self.rho0, Real) and 0 < self.rho0 < math.inf):
+            raise ValueError(f"rho0 must be > 0, got {self.rho0!r}")
+        if not (isinstance(self.lam, Real) and 0 < self.lam < math.inf):
+            raise ValueError(f"lambda must be > 0, got {self.lam!r}")
+        if not (isinstance(self.alpha, Real) and 1.0 <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be >= 1, got {self.alpha!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
-            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
+        if not (isinstance(self.stop_tol, Real) and 0 <= self.stop_tol < math.inf):
+            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol!r}")
         # rho_k grows with k and sigma_k shrinks, so the loop's schedule at
         # k = 0 and k = max_iter - 1 bounds both (no loop passes sys.maxsize)
         for k in (0, min(int(self.max_iter) - 1, sys.maxsize)):
@@ -305,12 +310,15 @@ def default_config(mode: str, denoiser_kind: str, snr_db: float = 20.0, **overri
     Looks up (rho0, lambda) for the mode/denoiser/SNR working point,
     falling back to (1.0, 1e-3) when no preset exists, as for an
     infinite SNR; the other fields take the PnpConfig defaults.  Any
-    field can be overridden by keyword.  A NaN snr_db is a ValueError.
+    field can be overridden by keyword.  A snr_db that is NaN or not a
+    number is a ValueError, and so are an unknown mode or denoiser.
     """
-    if math.isnan(snr_db):
-        raise ValueError(f"snr_db must be a number, got {snr_db}")
-    level = int(round(snr_db)) if math.isfinite(snr_db) else None
-    _registered(denoiser_kind)  # before it keys the presets, which need it hashable
+    if not (isinstance(snr_db, Real) and -math.inf <= snr_db <= math.inf):
+        raise ValueError(f"snr_db must be a number, got {snr_db!r}")
+    level = int(round(snr_db)) if -math.inf < snr_db < math.inf else None
+    # both key the presets, which need them hashable, so they are checked first
+    _registered(denoiser_kind)
+    _check_mode(mode)
     rho0, lam = PRESETS.get((mode, denoiser_kind, level), (1.0, 1e-3))
     return PnpConfig(**{"mode": mode, "denoiser": denoiser_kind,
                         "rho0": rho0, "lam": lam, **overrides})

@@ -278,10 +278,21 @@ def test_tv_tiny_sigma_is_identity():
 
 @pytest.mark.parametrize("sigma", [1e-162, 1e-300, 5e-324])
 def test_tv_sigma_too_small_for_the_dual_steps_returns_the_input(sigma):
-    # the dual steps overflow; no candidate beats the input's energy, so
-    # the input comes back bit for bit, and no numpy warning escapes
+    # the dual steps overflow, so the plane comes back bit for bit, the
+    # mu -> 0 limit, and no numpy warning escapes
     img = np.random.default_rng(6).uniform(size=(8, 8))
     assert_array_equal(tv_denoise(img, sigma), img)
+
+
+def test_tv_plane_whose_dual_steps_overflow_comes_back_alone():
+    # the first plane's differences overflow at any sigma: it comes back bit
+    # for bit, and the second is filtered as it would be alone, with no warning
+    rng = np.random.default_rng(13)
+    volume = np.stack([rng.uniform(-1.0, 1.0, size=(9, 7)) * 1.7e308,
+                       rng.uniform(size=(9, 7))])
+    out = tv_denoise(volume, 0.1)
+    assert_array_equal(out[0], volume[0])
+    assert_array_equal(out[1], tv_denoise(volume[1], 0.1))
 
 
 def test_tv_maximum_principle():
@@ -383,7 +394,8 @@ def test_denoise_band_permutation_equivariance(monkeypatch):
     ("gaussian", {"GAUSSIAN_WIDTH": 1.2}, lambda band, sigma: gaussian_filter(band)),
     ("nlm", {"NLM_PATCH_RADIUS": 2, "NLM_SEARCH_RADIUS": 3, "NLM_H_SCALE": 4.0},
      nlm_filter),
-], ids=["gaussian", "nlm"])
+    ("tv", {"TV_ITERS": 4}, tv_denoise),
+], ids=["gaussian", "nlm", "tv"])
 def test_volume_entry_gives_each_band_its_own_filtering(kind, constants, band_fn,
                                                         monkeypatch):
     # the registry hands the whole volume to one filter call
@@ -410,6 +422,12 @@ def test_register_custom_denoiser():
     assert calls == [0.3]
     with pytest.raises(ValueError, match="registered"):
         register_denoiser("halver-test", halver)
+
+
+def test_register_refuses_a_denoiser_that_is_not_callable():
+    with pytest.raises(ValueError, match="callable"):
+        register_denoiser("none-test", None)
+    assert "none-test" not in available_denoisers()
 
 
 def test_shape_change_is_an_error():

@@ -392,6 +392,26 @@ def test_config_validation():
             PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=max_iter)
 
 
+_CFG = dict(mode="pro-a", denoiser="nlm", rho0=1.0, lam=1e-3)
+
+
+@pytest.mark.parametrize("build, kwargs, match", [
+    (PnpConfig, {**_CFG, "rho0": "1.0"}, "rho0"),
+    (PnpConfig, {**_CFG, "rho0": 1 + 0j}, "rho0"),
+    (PnpConfig, {**_CFG, "lam": None}, "lambda"),
+    (PnpConfig, {**_CFG, "alpha": "2"}, "alpha"),
+    (PnpConfig, {**_CFG, "stop_tol": None}, "stop_tol"),
+    (PnpConfig, {**_CFG, "mode": ["pro-a"]}, "mode"),
+    (default_config, dict(mode=["pro-a"], denoiser_kind="nlm"), "mode"),
+    (default_config, dict(mode="pro-a", denoiser_kind="nlm", snr_db="10"), "snr_db"),
+    (default_config, dict(mode="pro-a", denoiser_kind="nlm", snr_db=None), "snr_db"),
+], ids=["rho0 str", "rho0 complex", "lam None", "alpha str", "stop_tol None",
+        "mode list", "default_config mode list", "snr_db str", "snr_db None"])
+def test_a_setting_of_the_wrong_type_is_its_own_value_error(build, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        build(**kwargs)
+
+
 @pytest.mark.parametrize("settings, match", [
     (dict(rho0=10.0, alpha=1e300, max_iter=3), "alpha\\^k"),
     # rho_2 = 1e300 is finite, but the loop's alpha^2 is not
