@@ -104,9 +104,8 @@ _UNMIX_OPTS = (
     _Opt("mode", str, required=True, help="pro-h or pro-a"),
     _Opt("denoiser", str, default="nlm", help="prior; one of the registered kinds"),
     _Opt("snr_db", float, help="assumed noise level in dB; picks the preset rho0/lam"),
-    _Opt("rho0", float, help="initial penalty weight"),
+    _Opt("rho0", float, help="penalty weight rho, fixed for the whole run"),
     _Opt("lam", float, help="prior strength lambda"),
-    _Opt("alpha", float, help="penalty growth factor per iteration"),
     _Opt("max_iter", int, help="iteration budget"),
     _Opt("stop_tol", float, help="relative primal residual stop"),
 )

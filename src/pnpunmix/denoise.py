@@ -1,7 +1,7 @@
 """Swappable image denoisers, the prior half of the unmixing splitting.
 
 The unmixing loop hands each iteration's (channels, rows, cols) planes
-to the selected denoiser at the noise level sigma = sqrt(lambda / rho_k),
+to the selected denoiser at the noise level sigma = sqrt(lambda / rho),
 through the array-level step that :func:`denoise` wraps for cubes;
 everything behind that step is interchangeable.  Built-ins: ``identity``
 (no prior), ``gaussian`` (separable blur of width GAUSSIAN_WIDTH),

@@ -264,6 +264,8 @@ def read_graymap(path) -> np.ndarray:
         raise FileFormatError(f"{path}: non-integer header field") from None
     if maxval != 255:
         raise FileFormatError(f"{path}: unsupported max value {maxval}")
+    if min(rows, cols) < 1:
+        raise FileFormatError(f"{path}: dimensions must be positive")
     payload = data[offset:]
     if len(payload) != rows * cols:
         raise FileFormatError(

@@ -11,12 +11,12 @@ M'M.  White noise of level sigma on the bands keeps level sigma on these
 coefficients, and a linear denoiser that treats all bands alike gives
 exactly the B-band loop.  A starts from the fully constrained
 least-squares fit and U from zero.  That start already minimizes the data
-term, so each iteration k (rho_k = rho0 * alpha^k in closed form, so the
-schedule is exact) refreshes Z before the A-step:
+term, so each iteration, at the one penalty rho = rho0 of the whole run,
+refreshes Z before the A-step:
 
-    Z      <- D(H A + U, sigma = sqrt(lambda/rho_k))
+    Z      <- D(H A + U, sigma = sqrt(lambda/rho))
     U      <- U + H A - Z
-    A      <- per-pixel QP, Q = M'M + rho_k H'H, f = -(M'y + rho_k H'(Z - U))
+    A      <- per-pixel QP, Q = M'M + rho H'H, f = -(M'y + rho H'(Z - U))
 
 until max_iter is reached or the relative primal residual
 ||H A - Z||_F / ||Z||_F (0/0 = 0, x/0 = inf; free of the data's scale),
@@ -83,11 +83,9 @@ class PnpConfig:
         mode: "pro-h" (prior on reconstructed spectra) or "pro-a"
             (prior on abundance planes).
         denoiser: registered name of the prior, see ``available_denoisers``.
-        rho0: initial coupling weight, > 0.
+        rho0: coupling weight rho, > 0, fixed for the whole run.
         lam: prior weight lambda, > 0; the denoiser sees
-            sigma = sqrt(lam / rho_k).
-        alpha: per-iteration growth of rho, >= 1; the default 1 keeps
-            rho fixed, so the prior does not fade as the budget grows.
+            sigma = sqrt(lam / rho0).
         max_iter: outer iteration budget K.
         stop_tol: relative primal residual threshold; the loop stops
             early once ||HA - Z||_F / ||Z||_F (0/0 = 0, x/0 = inf), which
@@ -96,57 +94,38 @@ class PnpConfig:
             The last iterate is returned, not a best-so-far.
 
     An unknown denoiser or mode, a setting that is not a real number,
-    and settings under which some rho_k or sigma_k with k < max_iter
-    would not be finite and positive are refused with a ValueError.
+    a rho0 or lam beyond the float range, and settings whose sigma is
+    not finite and positive are refused with a ValueError.
     """
 
     mode: str
     denoiser: str
     rho0: float
     lam: float
-    alpha: float = 1.0
     max_iter: int = 20
     stop_tol: float = 1e-4
 
     def __post_init__(self):
         _registered(self.denoiser)
         _check_mode(self.mode)
-        if not (isinstance(self.rho0, Real) and 0 < self.rho0 < math.inf):
-            raise ValueError(f"rho0 must be > 0, got {self.rho0!r}")
-        if not (isinstance(self.lam, Real) and 0 < self.lam < math.inf):
-            raise ValueError(f"lambda must be > 0, got {self.lam!r}")
-        if not (isinstance(self.alpha, Real) and 1.0 <= self.alpha < math.inf):
-            raise ValueError(f"alpha must be >= 1, got {self.alpha!r}")
+        for name, value in (("rho0", self.rho0), ("lambda", self.lam)):
+            # not < inf: float() of an int past the float range raises OverflowError
+            if not (isinstance(value, Real) and 0 < value <= sys.float_info.max):
+                raise ValueError(f"{name} must be > 0 and a finite float, got {value!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (isinstance(self.stop_tol, Real) and 0 <= self.stop_tol < math.inf):
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol!r}")
-        # rho_k grows with k and sigma_k shrinks, so the loop's schedule at
-        # k = 0 and k = max_iter - 1 bounds both (no loop passes sys.maxsize)
-        for k in (0, min(int(self.max_iter) - 1, sys.maxsize)):
-            try:
-                rho, sigma = self._schedule(k)
-            except OverflowError:
-                rho = math.inf
-            if rho == math.inf:
-                raise ValueError("alpha^k or rho_k = rho0 * alpha^k overflows by "
-                                 f"k = max_iter - 1: {self}")
-            if not 0.0 < sigma < math.inf:
-                raise ValueError("sigma_k = sqrt(lambda / rho_k) is not finite and "
-                                 f"positive for every k < max_iter: {self}")
-
-    def _schedule(self, k: int) -> tuple[float, float]:
-        """(rho_k, sigma_k) = (rho0 * alpha^k, sqrt(lambda / rho_k)) of iteration k."""
-        rho = float(self.rho0) * float(self.alpha) ** k  # an overflow raises
-        return rho, math.sqrt(float(self.lam) / rho)
+        if not 0.0 < math.sqrt(float(self.lam) / float(self.rho0)) < math.inf:
+            raise ValueError(f"sigma = sqrt(lambda / rho0) is not finite and positive: {self}")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     """What one executed iteration k measured."""
 
-    rho: float  # penalty rho_k = rho0 * alpha^k
-    sigma: float  # denoiser noise level sqrt(lambda / rho_k)
+    rho: float  # penalty rho = rho0, the same in every iteration
+    sigma: float  # denoiser noise level sqrt(lambda / rho)
     primal_residual: float  # the stop rule's gap, taken after the A-step
     rmse: float | None  # abundance rmse against truth; None without truth
     a_step_seconds: float
@@ -247,18 +226,19 @@ def unmix(
                              f"{(endmembers.count, rows, cols)}")
     a, start_bad, mtm, mty = _least_squares(endmembers, observed)
     h = _split_operator(cfg.mode, endmembers.values)
+    rho = float(cfg.rho0)
+    sigma = math.sqrt(float(cfg.lam) / rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        hth = h.T @ h
+        q = mtm + rho * (h.T @ h)
     ha = np.einsum("ij,jn->in", h, a)
     u = np.zeros_like(ha)
 
     records: list[IterationRecord] = []
-    for k in range(cfg.max_iter):
-        rho_k, sigma_k = cfg._schedule(k)
+    for _ in range(cfg.max_iter):
         tic = time.perf_counter()
         try:
             planes = _to_planes(ha + u, rows, cols)
-            z = _to_pixels(_denoise_planes(cfg.denoiser, planes, sigma_k))
+            z = _to_pixels(_denoise_planes(cfg.denoiser, planes, sigma))
         except ComputeError as exc:
             raise ComputeError(f"z-step failed: {exc}") from exc
         z_seconds = time.perf_counter() - tic
@@ -266,15 +246,14 @@ def unmix(
         u = u + ha - z
         tic = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
-            q = mtm + rho_k * hth
-            fs = -(mty + rho_k * np.einsum("ji,jn->in", h, z - u))
+            fs = -(mty + rho * np.einsum("ji,jn->in", h, z - u))
         a, sweeps, conv, shifted = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
 
         ha, residual = _split_gap(h, a, z)
         records.append(IterationRecord(
-            rho=rho_k,
-            sigma=sigma_k,
+            rho=rho,
+            sigma=sigma,
             primal_residual=residual,
             rmse=None if truth is None else _rmse(truth.values, a),
             a_step_seconds=a_seconds,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value, whole = getattr(self, f.name), isinstance(f.default, int)
+            if not isinstance(value, Integral if whole else Real):
+                kind = "an integer" if whole else "a real number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.rows < 8 or self.cols < 8:
             raise ValueError(f"scene must be at least 8x8, got {self.rows}x{self.cols}")
         if self.endmembers < 2:
@@ -92,7 +98,7 @@ class SceneSpec:
             raise ValueError(f"pure_pixel_fraction must be in [0, 1], got {frac}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property

@@ -151,7 +151,7 @@ def test_criterion_03_identity_prior_reproduces_baseline(capsys):
     gaps = {}
     for mode in ("pro-h", "pro-a"):
         cfg = default_config(
-            mode, "identity", snr_db=20.0, rho0=1e-3, alpha=1.0, stop_tol=0.0
+            mode, "identity", snr_db=20.0, rho0=1e-3, stop_tol=0.0
         )
         est, state = unmix(observed, scene.endmembers, cfg)
         assert state.iteration == 20
@@ -230,7 +230,7 @@ def test_criterion_06_schedule_and_feasibility(capsys, trend_runs):
     for state, cfg in states:
         # scalar expressions, not vectorized power: integer-exponent array
         # power rounds differently in the last ulp
-        want_rho = [cfg.rho0 * cfg.alpha**k for k in range(state.iteration)]
+        want_rho = [cfg.rho0] * state.iteration
         want_sigma = [float(np.sqrt(cfg.lam / r)) for r in want_rho]
         schedule_ok = schedule_ok and [r.rho for r in state.iterations] == want_rho
         schedule_ok = schedule_ok and [r.sigma for r in state.iterations] == want_sigma

@@ -126,7 +126,7 @@ class TestUnmixCommand:
         out = tmp_path / "run"
         code = run_unmix(
             scene_dir, out,
-            "--denoiser", "identity", "--rho0", "1e-3", "--alpha", "1.0",
+            "--denoiser", "identity", "--rho0", "1e-3",
             "--stop-tol", "1e-15",
         )
         assert code == 0
@@ -141,7 +141,7 @@ class TestUnmixCommand:
         out = tmp_path / "run"
         code = run_unmix(
             scene_dir, out,
-            "--denoiser", "identity", "--rho0", "1e-3", "--alpha", "1.0",
+            "--denoiser", "identity", "--rho0", "1e-3",
             "--truth", str(scene_dir / "truth.raw"),
             "--clean", str(scene_dir / "clean.raw"),
         )
@@ -179,15 +179,14 @@ class TestUnmixCommand:
     def test_trace_rows_and_monotone_rho(self, scene_dir, tmp_path):
         out = tmp_path / "run"
         assert run_unmix(scene_dir, out, "--denoiser", "identity",
-                         "--max-iter", "4", "--alpha", "1.1",
-                         "--stop-tol", "0") == 0
+                         "--max-iter", "4", "--stop-tol", "0") == 0
         lines = (out / "trace.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header[:4] == ["iteration", "rho", "sigma", "primal_residual"]
         assert len(lines) == 1 + 4
         rhos = [float(line.split(",")[1]) for line in lines[1:]]
         assert rhos == sorted(rhos)
-        assert rhos[1] > rhos[0]
+        assert len(set(rhos)) == 1  # rho is fixed for the whole run
 
     def test_trace_and_metrics_write_the_iteration_records(
         self, scene_dir, tmp_path, capsys
@@ -277,7 +276,7 @@ class TestUnmixCommand:
             "cube": scene_dir / "noisy.raw", "endmembers": scene_dir / "endmembers.csv",
             "truth": scene_dir / "truth.raw", "clean": scene_dir / "clean.raw",
             "mode": "pro-a", "denoiser": "gaussian", "snr_db": 10.0, "rho0": 0.5,
-            "lam": 0.25, "alpha": 1.5, "max_iter": 2, "stop_tol": 0.0,
+            "lam": 0.25, "max_iter": 2, "stop_tol": 0.0,
         }
         assert set(values) | {"out"} == {opt.key for opt in _UNMIX_OPTS}
         write_config(tmp_path / "all.cfg", {**values, "out": tmp_path / "file"})
@@ -597,24 +596,26 @@ class TestExitCodes:
         assert code == 3
         assert "unmixing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [(), ("--stop-tol", "0")],
-                             ids=["default stop rule", "stop-tol 0"])
-    def test_a_schedule_whose_rho_rounds_to_inf_is_a_configuration_error(
-        self, scene_dir, tmp_path, capsys, extra
-    ):
-        # rho_1 = rho0 * alpha rounds past the largest float, though the sum
-        # of their logs does not; run, it exits 0 or 4 (a non-finite Q)
-        out = tmp_path / "run"
-        code = run_unmix(scene_dir, out, "--denoiser", "identity",
-                         "--rho0", "3.044766270477008", "--lam", "19.539137514454772",
-                         "--alpha", "5.904207335365587e+307", "--max-iter", "2", *extra)
-        lines = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert len(lines) == 1, lines
-        assert lines[0].startswith(
-            "pnpunmix: error [configuration]: alpha^k or rho_k = rho0 * alpha^k overflows"
-        ), lines[0]
-        assert not out.exists()
+    @pytest.mark.parametrize("where", ["flag", "config key"])
+    def test_alpha_is_no_setting(self, scene_dir, tmp_path, capsys, where):
+        # rho is fixed at rho0 for the whole run: no growth factor is taken
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {"cube": scene_dir / "noisy.raw",
+                           "endmembers": scene_dir / "endmembers.csv",
+                           "mode": "pro-a", "denoiser": "identity"})
+        argv = ["unmix", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        if where == "flag":
+            argv += ["--alpha", "1.1"]
+        else:
+            cfg.write_text(cfg.read_text() + "alpha = 1.1\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if where == "flag":
+            assert err.endswith("error: unrecognized arguments: --alpha 1.1\n"), err
+        else:
+            assert err == ("pnpunmix: error [configuration]: "
+                           f"unknown config key 'alpha' in {cfg}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_truth_on_another_grid_is_shape_error(self, scene_dir, tmp_path, capsys):
         # the 144 pixels of the 12x12 scene, laid out on an 8x18 grid
@@ -675,8 +676,6 @@ class TestExitCodes:
         assert "output writing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, code, stage", [
-        (["--mode", "pro-a", "--denoiser", "nlm", "--alpha", "1e300", "--max-iter", "3"],
-         2, "configuration"),
         (["--mode", "pro-h", "--denoiser", "nlm", "--rho0", "1e-300", "--lam", "1e300"],
          2, "configuration"),
         (["--mode", "pro-h", "--denoiser", "tv", "--rho0", "1e308", "--lam", "1e308"],
@@ -779,20 +778,19 @@ def _log_uniform(low, high):
     denoiser=st.sampled_from(BUILT_IN_DENOISERS),
     rho0=_log_uniform(-1074.0, 1023.99),
     lam=_log_uniform(-1074.0, 1023.99),
-    alpha=st.floats(0.0, 300.0).map(lambda x: 10.0**x),
     max_iter=st.integers(1, 5),
 )
 # tv at sigma = 1e-160, where its dual steps overflow
-@example(mode="pro-a", denoiser="tv", rho0=1.0, lam=1e-320, alpha=1.0, max_iter=1)
+@example(mode="pro-a", denoiser="tv", rho0=1.0, lam=1e-320, max_iter=1)
 def test_any_loop_setting_unmixes_or_exits_with_one_line(tiny_scene, mode, denoiser,
-                                                         rho0, lam, alpha, max_iter):
+                                                         rho0, lam, max_iter):
     # every setting the command line takes: exit 0, 2 or 4, at most one
     # stderr line naming the stage, and no warning but the QP-miss summary
     out = tiny_scene.parent / "run"
     argv = ["unmix", "--cube", str(tiny_scene / "noisy.raw"),
             "--endmembers", str(tiny_scene / "endmembers.csv"), "--out", str(out),
             "--mode", mode, "--denoiser", denoiser, "--rho0", repr(rho0),
-            "--lam", repr(lam), "--alpha", repr(alpha), "--max-iter", str(max_iter)]
+            "--lam", repr(lam), "--max-iter", str(max_iter)]
     err = io.StringIO()
     with (warnings.catch_warnings(record=True) as caught,
           contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):

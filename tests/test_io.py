@@ -364,6 +364,15 @@ class TestGraymap:
         with pytest.raises(FileFormatError, match="magic"):
             read_graymap(path)
 
+    @pytest.mark.parametrize("data", [b"P5\n-1 -1\n255\n" + bytes(1),
+                                      b"P5\n0 5\n255\n"],
+                             ids=["negative", "zero width"])
+    def test_dimensions_below_one_rejected(self, tmp_path, data):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError, match="dimensions must be positive"):
+            read_graymap(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "map.pgm"
         path.write_bytes(b"P5\n2 3\n255\n" + bytes(5))

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,7 +55,6 @@ def _identity_cfg(mode, **over):
         denoiser="identity",
         rho0=1e-3,
         lam=1e-3,
-        alpha=1.0,
         max_iter=20,
         stop_tol=1e-12,
     )
@@ -87,8 +85,8 @@ def _full_band_proh(observed, em, cfg):
     a = qp._solve_batch(mtm, -mty, np.full(mty.shape, 1.0 / em.count))[0]
     ha = m @ a
     u = np.zeros_like(ha)
-    for k in range(cfg.max_iter):
-        rho = cfg.rho0 * cfg.alpha**k
+    rho = cfg.rho0
+    for _ in range(cfg.max_iter):
         volume = fold(PixelMatrix(ha + u, rows, cols))
         z = unfold(denoise(cfg.denoiser, volume, math.sqrt(cfg.lam / rho))).values
         u = u + ha - z
@@ -97,14 +95,12 @@ def _full_band_proh(observed, em, cfg):
     return a, z, u
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.05])
 @pytest.mark.parametrize("kind", ["gaussian", "identity"])
-def test_subspace_proh_matches_the_full_band_loop(kind, alpha):
+def test_subspace_proh_matches_the_full_band_loop(kind):
     # a linear denoiser that treats every band alike keeps the B-band state
     # in span(M), so the P-coefficient loop is the B-band loop up to rounding
     em, truth, clean, noisy = _scene()
-    cfg = _identity_cfg("pro-h", denoiser=kind, rho0=0.5,
-                        alpha=alpha, max_iter=8, stop_tol=0.0)
+    cfg = _identity_cfg("pro-h", denoiser=kind, rho0=0.5, max_iter=8, stop_tol=0.0)
     est, state = unmix(noisy, em, cfg)
     a_ref, z_ref, u_ref = _full_band_proh(noisy, em, cfg)
     basis = _basis(em.values)
@@ -144,15 +140,6 @@ def test_permuting_endmembers_permutes_abundances(count, seed, data):
                         rtol=0, atol=1e-9)
 
 
-def test_rho_schedule_exact():
-    em, truth, clean, noisy = _scene(rows=4, cols=4)
-    cfg = _identity_cfg("pro-a", rho0=0.7, alpha=1.1, max_iter=6, stop_tol=0.0)
-    _, state = unmix(noisy, em, cfg)
-    expected = [0.7 * 1.1**k for k in range(state.iteration)]
-    assert [r.rho for r in state.iterations] == expected  # bitwise, not approximately
-    assert state.iterations[-1].rho == expected[-1]
-
-
 def test_constant_rho_at_alpha_one():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
     _, state = unmix(noisy, em, _identity_cfg("pro-h", rho0=0.3, max_iter=5, stop_tol=0.0))
@@ -162,7 +149,7 @@ def test_constant_rho_at_alpha_one():
 
 def test_sigma_trace_follows_schedule():
     em, truth, clean, noisy = _scene(rows=4, cols=4)
-    cfg = _identity_cfg("pro-a", rho0=2.0, lam=5e-4, alpha=1.2, max_iter=7, stop_tol=0.0)
+    cfg = _identity_cfg("pro-a", rho0=2.0, lam=5e-4, max_iter=7, stop_tol=0.0)
     _, state = unmix(noisy, em, cfg)
     sigmas = [r.sigma for r in state.iterations]
     expected = np.sqrt(cfg.lam / np.asarray([r.rho for r in state.iterations]))
@@ -242,7 +229,6 @@ def test_same_seed_bitwise_reproducible(monkeypatch):
         denoiser="nlm",
         rho0=1.0,
         lam=1e-3,
-        alpha=1.1,
         max_iter=3,
     )
     a1, s1 = unmix(noisy, em, cfg)
@@ -383,8 +369,6 @@ def test_config_validation():
         PnpConfig(mode="pro-a", denoiser=den, rho0=0.0, lam=1e-3)
     with pytest.raises(ValueError, match="lambda"):
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, alpha=0.9)
     with pytest.raises(ValueError, match="max_iter"):
         PnpConfig(mode="pro-a", denoiser=den, rho0=1.0, lam=1e-3, max_iter=0)
     for max_iter in (2.5, "3"):
@@ -399,34 +383,26 @@ _CFG = dict(mode="pro-a", denoiser="nlm", rho0=1.0, lam=1e-3)
     (PnpConfig, {**_CFG, "rho0": "1.0"}, "rho0"),
     (PnpConfig, {**_CFG, "rho0": 1 + 0j}, "rho0"),
     (PnpConfig, {**_CFG, "lam": None}, "lambda"),
-    (PnpConfig, {**_CFG, "alpha": "2"}, "alpha"),
     (PnpConfig, {**_CFG, "stop_tol": None}, "stop_tol"),
+    # float() of either raises OverflowError; the message names that setting
+    (PnpConfig, {**_CFG, "lam": 10**400}, "^lambda must be"),
+    (PnpConfig, {**_CFG, "rho0": 10**400}, "^rho0 must be"),
     (PnpConfig, {**_CFG, "mode": ["pro-a"]}, "mode"),
     (default_config, dict(mode=["pro-a"], denoiser_kind="nlm"), "mode"),
     (default_config, dict(mode="pro-a", denoiser_kind="nlm", snr_db="10"), "snr_db"),
     (default_config, dict(mode="pro-a", denoiser_kind="nlm", snr_db=None), "snr_db"),
-], ids=["rho0 str", "rho0 complex", "lam None", "alpha str", "stop_tol None",
-        "mode list", "default_config mode list", "snr_db str", "snr_db None"])
+], ids=["rho0 str", "rho0 complex", "lam None", "stop_tol None", "lam beyond floats",
+        "rho0 beyond floats", "mode list", "default_config mode list", "snr_db str",
+        "snr_db None"])
 def test_a_setting_of_the_wrong_type_is_its_own_value_error(build, kwargs, match):
     with pytest.raises(ValueError, match=match):
         build(**kwargs)
 
 
 @pytest.mark.parametrize("settings, match", [
-    (dict(rho0=10.0, alpha=1e300, max_iter=3), "alpha\\^k"),
-    # rho_2 = 1e300 is finite, but the loop's alpha^2 is not
-    (dict(rho0=1e-300, alpha=1e300, max_iter=3, lam=1e-300), "alpha\\^k"),
-    (dict(alpha=1.0 + 2**-52, max_iter=10**400), "alpha\\^k"),
-    (dict(rho0=1e-300, lam=1e300), "sigma_k"),
-    (dict(rho0=1e300, lam=1e-300), "sigma_k"),
-    # sigma_0 is positive, sigma_4 = sqrt(1e-300 / 1e40) is not
-    (dict(lam=1e-300, alpha=1e10, max_iter=5), "sigma_k"),
-    # rho_1 = rho0 * alpha rounds to inf, though log(rho0) + log(alpha) does
-    # not pass log(largest float)
-    (dict(rho0=3.044766270477008, lam=19.539137514454772,
-          alpha=5.904207335365587e+307, max_iter=2), "alpha\\^k"),
-], ids=["rho_k", "alpha^k", "long run", "sigma_0 inf", "sigma_0 zero", "sigma_4 zero",
-        "rho_1 rounds to inf"])
+    (dict(rho0=1e-300, lam=1e300), r"sigma = sqrt\(lambda / rho0\)"),
+    (dict(rho0=1e300, lam=1e-300), r"sigma = sqrt\(lambda / rho0\)"),
+], ids=["sigma_0 inf", "sigma_0 zero"])
 def test_config_refuses_a_schedule_the_loop_cannot_run(settings, match):
     with pytest.raises(ValueError, match=match):
         PnpConfig(**{"mode": "pro-a", "denoiser": "identity", "rho0": 1.0,
@@ -436,55 +412,41 @@ def test_config_refuses_a_schedule_the_loop_cannot_run(settings, match):
 @pytest.mark.parametrize("settings", [
     dict(lam=5e-324),
     dict(lam=1e308),
-    dict(rho0=1e-300, alpha=1e150, max_iter=3, lam=1e-200),
     dict(max_iter=10**400),
-], ids=["lam subnormal", "lam huge", "alpha^k near the top", "max_iter beyond floats"])
+], ids=["lam subnormal", "lam huge", "max_iter beyond floats"])
 def test_config_accepts_extreme_but_runnable_schedules(settings):
     cfg = PnpConfig(**{"mode": "pro-a", "denoiser": "identity",
                        "rho0": 1.0, "lam": 1e-3, **settings})
-    for k in range(min(cfg.max_iter, 5)):
-        rho_k = cfg.rho0 * cfg.alpha**k
-        sigma_k = math.sqrt(cfg.lam / rho_k)
-        assert 0.0 < rho_k < math.inf and 0.0 < sigma_k < math.inf
+    sigma = math.sqrt(cfg.lam / cfg.rho0)
+    assert 0.0 < cfg.rho0 < math.inf and 0.0 < sigma < math.inf
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     max_iter=st.integers(1, 5),
-    growth=st.floats(0.0, 1.0),
     rho_edge=st.booleans(),
     edge=st.floats(-1e-12, 1e-12),
-    lam_kind=st.sampled_from(["subnormal sigma_K-1^2", "subnormal sigma_0^2", "free"]),
+    lam_kind=st.sampled_from(["subnormal sigma^2", "free"]),
     scale=st.floats(0.25, 4.0),
 )
-def test_config_accepts_exactly_the_schedules_the_loop_can_run(max_iter, growth, rho_edge,
-                                                               edge, lam_kind, scale):
-    # settings at the float edges: rho0 * alpha^(K-1) within 1e-12 of the
-    # largest float, or lambda / rho_k within a few steps of the smallest
-    # subnormal, where rounding decides; PnpConfig must take exactly those
-    # whose every (rho_k, sigma_k), k < K, the loop computes finite and positive
+def test_config_accepts_exactly_the_schedules_the_loop_can_run(max_iter, rho_edge, edge,
+                                                               lam_kind, scale):
+    # settings at the float edges: rho0 within 1e-12 of the largest float,
+    # or lambda / rho0 within a few steps of the smallest subnormal, where
+    # rounding decides; PnpConfig must take exactly those whose (rho, sigma)
+    # the loop computes finite and positive, whatever the budget
     big = sys.float_info.max
-    alpha = 2.0 ** (growth * 1023 / max(max_iter - 1, 1))
     if rho_edge:
-        rho0 = big / alpha ** (max_iter - 1) * (1.0 + edge)
+        rho0 = big * (1.0 + edge)
     else:
         rho0 = 2.0 ** (60 + 900 * abs(edge) * 1e12)  # lambda below stays normal
-    if lam_kind == "subnormal sigma_K-1^2":
-        lam = min(rho0 * alpha ** (max_iter - 1), big) * scale * math.ulp(0.0)
-    elif lam_kind == "subnormal sigma_0^2":
-        lam = rho0 * scale * math.ulp(0.0)
+    if lam_kind == "subnormal sigma^2":
+        lam = min(rho0, big) * scale * math.ulp(0.0)
     else:
         lam = 2.0 ** (1000 * (scale - 2.125) / 1.875)
-    knobs = dict(rho0=rho0, lam=lam, alpha=alpha)
-
-    def runnable(k):
-        try:
-            rho, sigma = PnpConfig._schedule(SimpleNamespace(**knobs), k)
-        except OverflowError:
-            return False
-        return rho < math.inf and 0.0 < sigma < math.inf
-
-    expect = math.isfinite(rho0) and lam > 0 and all(map(runnable, range(max_iter)))
+    knobs = dict(rho0=rho0, lam=lam)
+    expect = (math.isfinite(rho0) and lam > 0
+              and 0.0 < math.sqrt(float(lam) / float(rho0)) < math.inf)
     try:
         PnpConfig(mode="pro-a", denoiser="identity", max_iter=max_iter, **knobs)
     except ValueError:
@@ -595,14 +557,13 @@ def test_presets_cover_documented_rows():
 def test_default_config_resolution():
     cfg = default_config("pro-h", "nlm", snr_db=5.0)
     assert (cfg.rho0, cfg.lam) == (2.0, 1.2e-2)
-    assert cfg.alpha == 1.0 and cfg.max_iter == 20
+    assert cfg.max_iter == 20
     cfg = default_config("pro-a", "nlm", snr_db=10.0)
     assert (cfg.rho0, cfg.lam) == (6.0, 4e-2)
-    assert cfg.alpha == 1.0
     # no table row: generic fallback, still overridable
-    cfg = default_config("pro-a", "tv", snr_db=20.0, lam=7e-4, alpha=1.1)
+    cfg = default_config("pro-a", "tv", snr_db=20.0, lam=7e-4, max_iter=7)
     assert cfg.denoiser == "tv"
-    assert cfg.lam == 7e-4 and cfg.alpha == 1.1
+    assert cfg.lam == 7e-4 and cfg.max_iter == 7
 
 
 def test_default_config_infinite_snr_falls_back_nan_rejected():

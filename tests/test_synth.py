@@ -56,6 +56,15 @@ class TestSceneSpec:
             (dict(snr_db=float("nan")), "snr_db"),
             (dict(seed=-1), "seed"),
             (dict(seed=2.5), "seed"),
+            # a field of the wrong type is that field's own ValueError
+            (dict(rows=8.5), "rows"),
+            (dict(endmembers=2.5), "endmembers"),
+            (dict(rows="8"), "rows"),
+            (dict(bands=None), "bands"),
+            (dict(snr_db="10"), "snr_db"),
+            (dict(snr_db=None), "snr_db"),
+            (dict(pure_pixel_fraction=None), "pure_pixel_fraction"),
+            (dict(field_smoothness="x"), "field_smoothness"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, fragment):
