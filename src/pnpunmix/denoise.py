@@ -3,11 +3,13 @@
 The unmixing loop hands each iteration's (channels, rows, cols) planes
 to the selected denoiser at the noise level sigma = sqrt(lambda / rho),
 through the array-level step that :func:`denoise` wraps for cubes;
-everything behind that step is interchangeable.  Built-ins: ``identity``
-(no prior), ``gaussian`` (separable blur of width GAUSSIAN_WIDTH),
-``nlm`` (non-local means with bandwidth h = NLM_H_SCALE * sigma), ``tv``
-(rudin-osher-fatemi model with weight mu = sigma, solved by dual
-projected gradient).  All are plain numpy, as is the whole package.
+everything behind that step is interchangeable.  Built-ins (plain numpy,
+as is the whole package): ``identity`` (no prior), ``gaussian``
+(separable blur of width GAUSSIAN_WIDTH), ``nlm`` (non-local means with
+bandwidth h = NLM_H_SCALE * sigma; float32 weights on a power-of-two
+scale per channel, float64 sums, so data and sigma times 2^k give
+exactly 2^k times the output), ``tv`` (rudin-osher-fatemi model with
+weight mu = sigma, solved by dual projected gradient).
 
 Every built-in gives each channel what filtering that channel alone
 gives, with replicate borders, on one thread, filtering blocks of whole
@@ -22,7 +24,6 @@ External ones (a learned prior, say) plug in through
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -126,9 +127,11 @@ def nlm_filter(volume: np.ndarray, sigma: float) -> np.ndarray:
     Pixel j in the (2*NLM_SEARCH_RADIUS+1)^2 window around pixel i
     contributes with weight exp(-ssd(i, j) / h^2), where ssd is the summed
     squared difference of the (2*NLM_PATCH_RADIUS+1)^2 patches and
-    h = NLM_H_SCALE * sigma.  Weights are normalized, so every output
-    value is a convex combination of window values.  Borders replicate.
-    sigma = 0 returns a copy of the input.
+    h = NLM_H_SCALE * sigma.  The weights are float32 on each channel's
+    power-of-two scale (h scaled alike), so no data scale overflows and
+    data and sigma times 2^k give exactly 2^k times the output; the sums
+    are float64, so every output value is a convex combination of window
+    values.  Borders replicate.  sigma = 0 returns a copy of the input.
 
     ``volume`` is one plane or a stack (..., rows, cols) of channels that
     are filtered independently.  Whole channels go through the search
@@ -136,20 +139,14 @@ def nlm_filter(volume: np.ndarray, sigma: float) -> np.ndarray:
     channel), which bounds the temporaries to a few blocks.
     """
     volume = np.asarray(volume, dtype=np.float64)
-    p, s = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
-    try:
-        h2 = (NLM_H_SCALE * sigma) ** 2
-    except OverflowError:  # h = inf: every weight is 1, a box mean
-        h2 = math.inf
-    if h2 == 0.0:
+    if sigma == 0.0:
         return volume.copy()
-    # an ssd / h^2 that overflows (a subnormal h^2, say) gets the weight
-    # exp(-inf) = 0, its intended limit; the centre offset always weighs 1
+    p, s = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
     with np.errstate(over="ignore"):
-        return _by_blocks(volume, lambda block: _nlm_block(block, h2, p, s))
+        return _by_blocks(volume, lambda block: _nlm_block(block, NLM_H_SCALE * sigma, p, s))
 
 
-def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:
+def _nlm_block(block: np.ndarray, h: float, p: int, s: int) -> np.ndarray:
     """nlm_filter on a (channels, rows, cols) block, one pass per offset.
 
     Each channel is edge-padded by s rows and m = max(s, p) columns and
@@ -162,31 +159,33 @@ def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:
     m = max(s, p)
     pitch = cols + 2 * m
     padded = np.pad(block, ((0, 0), (s, s), (m, m)), mode="edge").reshape(n, -1)
+    # each channel's largest |value| scales into [1/2, 1); an h^2 that overflows weighs
+    # every offset 1 (a box mean), one below float32's least normal is raised to it
+    e = np.frexp(np.abs(block).max(axis=(1, 2)))[1][:, None]
+    scaled = np.ldexp(padded, -e).astype(np.float32)
+    h2 = np.maximum(np.ldexp(h, -e) ** 2, np.finfo(np.float32).tiny).astype(np.float32)
     span = (rows - 1) * pitch + cols
-    pixels = padded[:, s * pitch + m : s * pitch + m + span]
-    # squared differences in rows p .. p + rows - 1, replicated p rows up
-    # and down and p columns left and right (zeroed, so that cells no
-    # offset writes stay finite); their sums over 2p + 1 rows; and the
-    # patch sums that become the weights
-    diff = np.zeros((n, rows + 2 * p, pitch))
+    pixels = scaled[:, s * pitch + m : s * pitch + m + span]
+    # float32 squared differences in rows p .. p + rows - 1, replicated p
+    # rows up and down and p columns left and right (zeroed, so that cells
+    # no offset writes stay finite); their sums over 2p + 1 rows; the patch
+    # sums that become the weights; and each weight widened to float64
+    diff = np.zeros((n, rows + 2 * p, pitch), dtype=np.float32)
     flat_diff = diff.reshape(n, -1)
     inner = flat_diff[:, p * pitch + m : p * pitch + m + span]
-    row_sum = np.empty((n, rows * pitch))
-    w = np.empty((n, span))
-    num = np.zeros((n, rows * pitch))
-    den = np.zeros((n, rows * pitch))
-    num_span = num[:, m : m + span]
-    den_span = den[:, m : m + span]
+    row_sum = np.empty((n, rows * pitch), dtype=np.float32)
+    w = np.empty((n, span), dtype=np.float32)
+    wide = np.empty((n, span))
+    num, den = np.zeros((2, n, rows * pitch))
+    num_span, den_span = num[:, m : m + span], den[:, m : m + span]
+    image_rows = diff[:, p : p + rows]
     for dy in range(-s, s + 1):
         for dx in range(-s, s + 1):
             start = (s + dy) * pitch + m + dx
-            shifted = padded[:, start : start + span]
-            np.subtract(pixels, shifted, out=inner)
+            np.subtract(pixels, scaled[:, start : start + span], out=inner)
             np.square(inner, out=inner)
-            diff[:, p : p + rows, m - p : m] = diff[:, p : p + rows, m : m + 1]
-            diff[:, p : p + rows, m + cols : m + cols + p] = (
-                diff[:, p : p + rows, m + cols - 1 : m + cols]
-            )
+            image_rows[..., m - p : m] = image_rows[..., m : m + 1]
+            image_rows[..., m + cols : m + cols + p] = image_rows[..., m + cols - 1 : m + cols]
             diff[:, :p] = diff[:, p : p + 1]
             diff[:, p + rows :] = diff[:, p + rows - 1 : p + rows]
             np.copyto(row_sum, flat_diff[:, : rows * pitch])
@@ -197,9 +196,10 @@ def _nlm_block(block: np.ndarray, h2: float, p: int, s: int) -> np.ndarray:
                 w += row_sum[:, m - p + j : m - p + j + span]
             np.divide(w, -h2, out=w)
             np.exp(w, out=w)
-            den_span += w
-            w *= shifted
-            num_span += w
+            np.copyto(wide, w)
+            den_span += wide
+            wide *= padded[:, start : start + span]
+            num_span += wide
     grid = (n, rows, pitch)
     return num.reshape(grid)[:, :, m : m + cols] / den.reshape(grid)[:, :, m : m + cols]
 

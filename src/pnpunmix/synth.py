@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -82,6 +83,8 @@ class SceneSpec:
             if not isinstance(value, Integral if whole else Real):
                 kind = "an integer" if whole else "a real number"
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            if not whole and isinstance(value, Integral) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{f.name} must be a float, got an int past the float range")
         if self.rows < 8 or self.cols < 8:
             raise ValueError(f"scene must be at least 8x8, got {self.rows}x{self.cols}")
         if self.endmembers < 2:
@@ -90,6 +93,8 @@ class SceneSpec:
             raise ValueError(
                 f"bands ({self.bands}) must be >= endmembers ({self.endmembers})"
             )
+        if self.bands * self.pixels > np.iinfo(np.intp).max // 8:
+            raise ValueError("bands x rows x cols is more values than an array can hold")
         smooth = float(self.field_smoothness)
         if not math.isfinite(smooth) or smooth <= 0.0:
             raise ValueError(f"field_smoothness must be positive, got {smooth}")

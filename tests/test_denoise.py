@@ -6,17 +6,18 @@ separable filter against scipy's reference implementation (same sampled
 Gaussian, same replicate borders at sigma = 1) and, bit for bit, against
 scipy's correlate1d with this file's kernel at any sigma, NLM against window
 convexity bounds from rank filters and against a band-by-band reference
-written here with scipy's box filter, and TV against an energy
+written here with the same float32 weight arithmetic, and TV against an energy
 functional evaluated by this file's own forward differences.
 """
 
 import importlib
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -125,21 +126,36 @@ def test_gaussian_volume_is_bitwise_per_band(data, lead, rows, cols, sigma_spati
 
 
 def _nlm_reference(band, sigma, patch_radius, search_radius, h_scale):
-    """Pixelwise non-local means on one band, one box filter per offset."""
-    h2 = (h_scale * sigma) ** 2
+    """Pixelwise non-local means on one band, one patch sum per offset.
+
+    The weights are float32 on the band's power-of-two scale 2^-e, which
+    takes its largest |value| into [1/2, 1): squared differences with
+    replicated borders, summed over the patch's rows and then its columns,
+    each in increasing offset order, divided by h^2 (h scaled alike, h^2 at
+    least float32's least normal) and exponentiated.  The sums are float64
+    over the unscaled values.
+    """
+    e = np.frexp(np.abs(band).max())[1]
+    scaled = np.ldexp(band, -e).astype(np.float32)
+    h2 = np.float32(max(np.ldexp(h_scale * sigma, -e) ** 2, np.finfo(np.float32).tiny))
     rows, cols = band.shape
-    size = 2 * patch_radius + 1
-    r = search_radius
+    p, r = patch_radius, search_radius
     padded = np.pad(band, r, mode="edge")
+    padded32 = np.pad(scaled, r, mode="edge")
     num = np.zeros_like(band)
     den = np.zeros_like(band)
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
-            shifted = padded[r + dy : r + dy + rows, r + dx : r + dx + cols]
-            ssd = ndimage.uniform_filter((band - shifted) ** 2, size=size,
-                                         mode="nearest") * (size * size)
-            w = np.exp(-ssd / h2)
-            num += w * shifted
+            window = (slice(r + dy, r + dy + rows), slice(r + dx, r + dx + cols))
+            diff = np.pad((scaled - padded32[window]) ** 2, p, mode="edge")
+            row_sum = diff[: rows]
+            for i in range(1, 2 * p + 1):
+                row_sum = row_sum + diff[i : i + rows]
+            ssd = row_sum[:, : cols]
+            for j in range(1, 2 * p + 1):
+                ssd = ssd + row_sum[:, j : j + cols]
+            w = np.exp(-ssd / h2).astype(np.float64)
+            num += w * padded[window]
             den += w
     return num / den
 
@@ -166,6 +182,33 @@ def test_nlm_volume_matches_band_reference(data, lead, rows, cols, patch_radius,
                      for band in volume.reshape(-1, rows, cols)])
     tol = 1e-12 * max(1.0, float(np.abs(volume).max()))
     assert_allclose(out, want.reshape(volume.shape), rtol=0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(volume=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 9),
+                                           st.integers(1, 9)),
+                     elements=st.just(0.0) | st.floats(2.0**-100, 1.0)
+                     | st.floats(-1.0, -(2.0**-100))),
+       rel_sigma=st.floats(0.02, 1.0), k=st.integers(-900, 900))
+# at 2^664 (about 2e199) the squared differences of unscaled data overflow
+@example(volume=np.random.default_rng(0).uniform(size=(2, 8, 8)), rel_sigma=0.1, k=664)
+def test_nlm_scales_exactly_with_the_data(volume, rel_sigma, k):
+    # every scaled value and 10 sigma 2^k stay normal floats, so the data and
+    # sigma times 2^k give 2^k times the output, bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nlm_filter(np.ldexp(volume, k), np.ldexp(rel_sigma, k))
+    assert_array_equal(out, np.ldexp(nlm_filter(volume, rel_sigma), k))
+
+
+def test_nlm_at_1e200_is_finite_with_no_warning():
+    # the squared differences of this cube overflow unless each channel is
+    # scaled first: unscaled, inf / inf gave NaN and a ComputeError
+    u = np.random.default_rng(5).uniform(size=(3, 12, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = denoise("nlm", HsiCube(1e200 * u), 1e199).values
+    assert_allclose(out / 1e200, nlm_filter(u, 0.1), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("filter_volume, bound", [

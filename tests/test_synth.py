@@ -65,6 +65,14 @@ class TestSceneSpec:
             (dict(snr_db=None), "snr_db"),
             (dict(pure_pixel_fraction=None), "pure_pixel_fraction"),
             (dict(field_smoothness="x"), "field_smoothness"),
+            # an int past the float range, which float() refused with an
+            # OverflowError naming no field
+            (dict(field_smoothness=10**400), "field_smoothness must be a float"),
+            (dict(pure_pixel_fraction=10**400), "pure_pixel_fraction must be a float"),
+            (dict(snr_db=10**400), "snr_db must be a float"),
+            # a scene no float64 array can hold is refused before any allocation
+            (dict(rows=10**400), "more values than an array can hold"),
+            (dict(bands=2**30, rows=2**16, cols=2**16), "more values than an array can hold"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, fragment):
