@@ -9,9 +9,12 @@ A scene lives in two equivalent layouts:
 The column ordering is fixed once and used everywhere, including the binary
 cube file format: pixel ``n = col * rows + row``, i.e. pixels walk down each
 spatial column before moving to the next one.  This module is the only one
-that spells it out: :func:`fold` and :func:`unfold` wrap two array-level
-relabelings, which the unmixing loop and the scene generator call directly
-on plain arrays.  A round trip reproduces the input bit for bit.
+that spells it out, in ``_pixel_view``, the (channels, cols, rows) view
+of either layout whose C order is the pixel order.  The file writers
+convert that view; :func:`fold` and :func:`unfold` wrap two array-level
+relabelings built on it, which the unmixing loop and the scene generator
+call directly on plain arrays.  A round trip reproduces the input bit for
+bit.
 
 Both containers hold a read-only C-ordered float64 array, taken in by
 ``_as_readonly_f64``, the one intake of every array container in the
@@ -110,6 +113,14 @@ class PixelMatrix:
         return self.values.shape[1]
 
 
+def _pixel_view(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(channels, rows, cols) planes or (channels, rows*cols) pixel columns
+    as a (channels, cols, rows) view, whose C order is the pixel order."""
+    if values.ndim == 3:
+        return values.transpose(0, 2, 1)
+    return values.reshape(-1, cols, rows)
+
+
 # The two relabelings below return new read-only, C-ordered float64 arrays
 # that own their data, so a container adopts them without another copy.
 
@@ -117,7 +128,7 @@ class PixelMatrix:
 def _to_planes(pixels: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """(channels, rows*cols) pixel columns as (channels, rows, cols) planes."""
     planes = np.empty((pixels.shape[0], rows, cols))
-    planes[...] = pixels.reshape(-1, cols, rows).transpose(0, 2, 1)
+    _pixel_view(planes, rows, cols)[...] = _pixel_view(pixels, rows, cols)
     planes.setflags(write=False)
     return planes
 
@@ -126,7 +137,7 @@ def _to_pixels(planes: np.ndarray) -> np.ndarray:
     """(channels, rows, cols) planes as pixel columns, n = col*rows + row."""
     ch, r, c = planes.shape
     pixels = np.empty((ch, r * c))
-    pixels.reshape(ch, c, r)[...] = planes.transpose(0, 2, 1)
+    _pixel_view(pixels, r, c)[...] = _pixel_view(planes, r, c)
     pixels.setflags(write=False)
     return pixels
 

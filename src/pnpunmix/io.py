@@ -5,9 +5,12 @@ in band-major order (within each band, pixels run down the columns, row
 index fastest) next to a ``.hdr`` text sidecar naming shape and encoding.
 Abundances reuse the same container with one channel per endmember; reading
 them back applies a loosened sum-to-one tolerance because 32-bit storage
-rounds the fractions. Endmember spectra travel as plain CSV, maps as binary
-PGM. Sidecars and run configs share one ``key = value`` codec: write_config
-writes it, and read_config, which rejects duplicate and empty keys, reads it.
+rounds the fractions. Payloads are read and written in blocks of at most
+CHUNK_VALUES float32 values (whole channels when written), so neither
+direction makes a whole float32 copy or a relabeled float64 copy of a cube.
+Endmember spectra travel as plain CSV, maps as binary PGM. Sidecars and run
+configs share one ``key = value`` codec: write_config writes it, and
+read_config, which rejects duplicate and empty keys, reads it.
 
 Every reader raises FileFormatError with the offending path in the message;
 shape and content checks of the reconstructed objects are delegated to the
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import HsiCube, PixelMatrix, _as_readonly_f64, fold, unfold
+from .cube import HsiCube, PixelMatrix, _as_readonly_f64, _pixel_view, fold
 from .errors import FileFormatError
 from .model import ANC_CLAMP, AbundanceMatrix, EndmemberMatrix
 
@@ -42,8 +45,8 @@ __all__ = [
 
 # sum-to-one slack after float32 quantization of the stored fractions
 STORED_ASC_TOL = 1e-5
-# float32 values per read of a cube payload (4 MiB)
-READ_CHUNK_VALUES = 1 << 20
+# float32 values per block of a cube payload read or written (4 MiB)
+CHUNK_VALUES = 1 << 20
 
 # a sidecar's keys: the payload's shape, then its one supported encoding
 _ENCODING = {"dtype": "float32", "layout": "band-major", "endianness": "little"}
@@ -54,28 +57,34 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".hdr")
 
 
-def _write_payload(path, payload: np.ndarray, rows: int, cols: int) -> None:
-    """Write a (channels, rows * cols) ``<f4`` payload plus ``.hdr``."""
-    path = Path(path)
-    shape = (payload.shape[0], rows, cols)
-    write_config(_sidecar(path), dict(zip(_HEADER_KEYS, shape)) | _ENCODING)
-    path.write_bytes(payload)
+def _write_payload(path, values: np.ndarray, rows: int, cols: int) -> None:
+    """Write cube planes or pixel columns as a ``<f4`` payload plus ``.hdr``.
 
-
-def _write_pixels(path, matrix: PixelMatrix) -> None:
-    """Write a :class:`PixelMatrix` as float32 payload plus ``.hdr``.
-
-    A value beyond the float32 range would be stored as inf, which no
-    reader takes back, so it raises ValueError before anything is written.
+    ``values`` is (channels, rows, cols) or (channels, rows * cols); its
+    pixel view goes to float32 in blocks of whole channels, at most
+    CHUNK_VALUES values each unless one channel holds more, so no copy of
+    the whole payload is made.  A value beyond the float32 range would be
+    stored as inf, which no reader takes back, so it raises ValueError
+    before anything is written; casting the least and greatest values
+    decides that for all, since rounding is monotone.
     """
+    path = Path(path)
+    planes = _pixel_view(values, rows, cols)
+    if planes.size == 0:
+        raise ValueError(f"{path}: an empty payload would not read back")
     try:
         with np.errstate(over="raise"):
-            payload = np.ascontiguousarray(matrix.values, dtype="<f4")
+            np.array([planes.min(), planes.max()]).astype("<f4")
     except FloatingPointError:
         raise ValueError(
             f"{path}: values beyond the float32 range would not read back"
         ) from None
-    _write_payload(path, payload, matrix.spatial_rows, matrix.spatial_cols)
+    shape = (planes.shape[0], rows, cols)
+    write_config(_sidecar(path), dict(zip(_HEADER_KEYS, shape)) | _ENCODING)
+    step = max(1, CHUNK_VALUES // (rows * cols))
+    with open(path, "wb") as handle:
+        for start in range(0, planes.shape[0], step):
+            handle.write(np.ascontiguousarray(planes[start : start + step], dtype="<f4"))
 
 
 def write_cube(path, cube: HsiCube) -> None:
@@ -83,7 +92,7 @@ def write_cube(path, cube: HsiCube) -> None:
 
     A value beyond the float32 range raises ValueError; nothing is written.
     """
-    _write_pixels(path, unfold(cube))
+    _write_payload(path, cube.values, cube.rows, cube.cols)
 
 
 def _parse_sidecar(path: Path) -> tuple[int, int, int]:
@@ -112,7 +121,7 @@ def _read_pixels(path, container=PixelMatrix):
     """The (channels, pixels) matrix a payload stores; exact length enforced.
 
     The length is checked against the header before anything is read; the
-    float32 payload then goes in READ_CHUNK_VALUES pieces straight into the
+    float32 payload then goes in CHUNK_VALUES pieces straight into the
     float64 matrix, which the container adopts without a copy.
     """
     path = Path(path)
@@ -127,7 +136,7 @@ def _read_pixels(path, container=PixelMatrix):
         )
     values = np.empty((channels, rows * cols))
     flat = values.reshape(-1)
-    chunk = np.empty(min(READ_CHUNK_VALUES, flat.size), dtype="<f4")
+    chunk = np.empty(min(CHUNK_VALUES, flat.size), dtype="<f4")
     with open(path, "rb") as handle:
         for start in range(0, flat.size, chunk.size):
             part = chunk[: flat.size - start]
@@ -148,7 +157,7 @@ def read_cube(path) -> HsiCube:
 
 def write_abundances(path, abundances: AbundanceMatrix) -> None:
     """Store abundance planes in the cube container, one channel per endmember."""
-    _write_pixels(path, abundances)
+    _write_payload(path, abundances.values, abundances.spatial_rows, abundances.spatial_cols)
 
 
 def read_abundances(path) -> AbundanceMatrix:

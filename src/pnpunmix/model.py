@@ -7,6 +7,7 @@ to the unit simplex (non-negative, summing to one).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -136,15 +137,30 @@ def add_noise_snr(clean: PixelMatrix, snr_db: float, seed: int) -> PixelMatrix:
     generator, ziggurat normal sampler), so a given seed reproduces the
     same noise bit for bit across runs and platforms with the same numpy.
 
+    The result is ``clean + sigma * standard_normal(shape)`` bit for bit,
+    formed in its own buffer, which first holds the squares of the energy
+    sum and then the draws: one array the size of ``clean`` is allocated.
+
     Args:
         clean: noiseless spectra.
-        snr_db: target SNR in dB; ``inf`` returns the input unchanged.
+        snr_db: target SNR in dB; ``inf`` (or ``-inf``), or one whose ratio
+            10^(snr_db/10) is past the float range, returns the input
+            unchanged.
         seed: generator seed.
     """
-    if np.isinf(snr_db):
+    try:
+        with np.errstate(over="ignore"):  # a numpy scalar's ratio overflows to inf
+            ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # the ratio, or an int snr_db, is past the float range
+        ratio = math.inf
+    if ratio == math.inf or snr_db == -math.inf:
         return PixelMatrix(clean.values, clean.spatial_rows, clean.spatial_cols)
-    energy = float(np.sum(clean.values**2))
-    sigma = np.sqrt(energy / (clean.values.size * 10.0 ** (snr_db / 10.0)))
-    rng = np.random.default_rng(seed)
-    noisy = clean.values + sigma * rng.standard_normal(clean.values.shape)
+    values = clean.values
+    noisy = np.square(values, out=np.empty_like(values))
+    sigma = np.sqrt(float(noisy.sum()) / (values.size * ratio))
+    np.random.default_rng(seed).standard_normal(out=noisy)
+    noisy *= sigma
+    noisy += values
+    # read-only, so the container adopts the buffer instead of copying it
+    noisy.setflags(write=False)
     return PixelMatrix(noisy, clean.spatial_rows, clean.spatial_cols)

@@ -98,6 +98,9 @@ class SceneSpec:
         smooth = float(self.field_smoothness)
         if not math.isfinite(smooth) or smooth <= 0.0:
             raise ValueError(f"field_smoothness must be positive, got {smooth}")
+        if 2 * _blur_radius(smooth) + 1 > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"field_smoothness {smooth:g} makes a blur kernel "
+                             "of more values than an array can hold")
         frac = float(self.pure_pixel_fraction)
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"pure_pixel_fraction must be in [0, 1], got {frac}")
@@ -127,10 +130,15 @@ def _field_children(spec: SceneSpec) -> list[np.random.SeedSequence]:
     return root.spawn(spec.endmembers + 1)
 
 
+def _blur_radius(sigma: float) -> int:
+    """Taps on each side of the truncate-4 Gaussian kernel of width ``sigma``."""
+    return int(4.0 * sigma + 0.5)
+
+
 def _smooth_field(rng: np.random.Generator, rows: int, cols: int, sigma: float):
     field = rng.standard_normal((rows, cols))
     # rows, then columns; radius 0 is the identity (and sigma * sigma may underflow)
-    radius = int(4.0 * sigma + 0.5)
+    radius = _blur_radius(sigma)
     if radius:
         x = np.arange(-radius, radius + 1)
         kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
@@ -253,5 +261,6 @@ def make_scene(spec: SceneSpec) -> Scene:
     )
     clean_matrix = mix(endmembers, truth)
     noise_seed = int(np.random.SeedSequence(spec.seed, spawn_key=(2,)).generate_state(1)[0])
-    noisy_matrix = add_noise_snr(clean_matrix, spec.snr_db, noise_seed)
-    return Scene(fold(noisy_matrix), fold(clean_matrix), truth, endmembers)
+    # the noisy matrix is dropped once folded, before the clean one is folded
+    noisy = fold(add_noise_snr(clean_matrix, spec.snr_db, noise_seed))
+    return Scene(noisy, fold(clean_matrix), truth, endmembers)

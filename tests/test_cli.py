@@ -114,6 +114,19 @@ class TestSynthCommand:
         expected = {key: str(value) for key, value in asdict(SceneSpec()).items()}
         assert read_config(out / "scene.cfg") == expected
 
+    def test_snr_whose_ratio_overflows_writes_a_noiseless_scene(self, tmp_path):
+        # 10^310 is past the float range: no noise, rather than an OverflowError
+        out = tmp_path / "quiet"
+        assert main(SCENE_ARGS + ["--snr-db", "3100", "--out", str(out)]) == 0
+        assert (out / "noisy.raw").read_bytes() == (out / "clean.raw").read_bytes()
+
+    def test_blur_kernel_no_array_holds_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "wide"
+        assert main(SCENE_ARGS + ["--field-smoothness", "1e300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [scene generation]: field_smoothness ")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         argv = SCENE_ARGS[:-2] + ["--seed", "-1", "--out", str(tmp_path / "x")]
         assert main(argv) == 2

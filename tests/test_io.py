@@ -1,6 +1,7 @@
 """File formats: round-trips, pinned quantization, malformed-input errors."""
 
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -181,7 +182,7 @@ def test_cube_file_round_trip_is_bitwise(data, shape, chunk):
         path = Path(tmp) / "cube.raw"
         write_cube(path, cube)
         assert path.read_bytes() == unfold(cube).values.astype("<f4").tobytes()
-        with mock.patch.object(io_module, "READ_CHUNK_VALUES", chunk):
+        with mock.patch.object(io_module, "CHUNK_VALUES", chunk):
             back = read_cube(path)
     assert back.values.shape == cube.values.shape
     assert back.values.tobytes() == cube.values.tobytes()
@@ -194,6 +195,60 @@ def test_cube_past_float32_is_refused_unwritten(tmp_path, value):
     values[1, 2, 3] = value
     with pytest.raises(ValueError, match="float32 range"):
         write_cube(tmp_path / "cube.raw", HsiCube(values))
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), shape=_SHAPES, chunk=st.integers(1, 60))
+def test_blocked_writes_keep_the_payload(data, shape, chunk):
+    # blocks of whole channels, one channel when a chunk holds less, and a
+    # short last block all give the bytes of the whole unfolded matrix
+    count, rows, cols = shape
+    cube = HsiCube(data.draw(arrays(np.float64, shape, elements=_F32)))
+    raw = data.draw(arrays(np.float64, (count, rows * cols), elements=_FRACTIONS))
+    raw[0, raw.sum(axis=0) == 0.0] = 1.0
+    abundances = AbundanceMatrix(raw / raw.sum(axis=0), rows, cols)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(io_module, "CHUNK_VALUES", chunk):
+        cube_path, abundance_path = Path(tmp) / "cube.raw", Path(tmp) / "truth.raw"
+        write_cube(cube_path, cube)
+        write_abundances(abundance_path, abundances)
+        assert cube_path.read_bytes() == unfold(cube).values.astype("<f4").tobytes()
+        assert abundance_path.read_bytes() == abundances.values.astype("<f4").tobytes()
+
+
+def test_cube_write_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    # four channels of 64 x 64 per block: 64 KiB of float32, against a
+    # 1 MiB cube that unfolding and casting whole once took 1.5 times
+    cube = f32_cube((32, 64, 64))
+    monkeypatch.setattr(io_module, "CHUNK_VALUES", 4 * 64 * 64)
+    tracemalloc.start()
+    try:
+        write_cube(tmp_path / "cube.raw", cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 64 * 64 * 4 + 32 * 1024
+    assert (tmp_path / "cube.raw").read_bytes() == unfold(cube).values.astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("value", [3.5e38, -1e39])
+def test_value_past_float32_in_the_last_block_is_refused_unwritten(tmp_path, monkeypatch,
+                                                                    value):
+    # the range is checked on the whole cube before the first block is written
+    values = np.full((7, 3, 4), 0.5)
+    values[-1, 2, 3] = value
+    monkeypatch.setattr(io_module, "CHUNK_VALUES", 2 * 3 * 4)
+    with pytest.raises(ValueError, match="float32 range"):
+        write_cube(tmp_path / "cube.raw", HsiCube(values))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+def test_empty_cube_is_refused_unwritten(tmp_path, shape):
+    # a zero dimension would not read back: the reader takes positive ones
+    with pytest.raises(ValueError, match="empty payload"):
+        write_cube(tmp_path / "cube.raw", HsiCube(np.zeros(shape)))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,10 +3,15 @@
 Expected vectors are hand-computed from the linear model y = M a.
 """
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pnpunmix.cube import PixelMatrix
@@ -116,3 +121,45 @@ def test_infinite_snr_is_noiseless():
     y = PixelMatrix(np.ones((3, 4)), 2, 2)
     out = add_noise_snr(y, np.inf, seed=0)
     assert np.array_equal(out.values, y.values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    clean=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
+                 elements=st.floats(-1e6, 1e6)),
+    snr_db=st.floats(-60.0, 3080.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+# near the largest ratio that does not overflow, the noise still shows
+@example(clean=np.array([[1e6, 1e-300]]), snr_db=3080.0, seed=1)
+def test_noise_is_the_direct_expression_bit_for_bit(clean, snr_db, seed):
+    # the in-place buffer gives the bytes of the expression it replaced
+    sigma = np.sqrt(float(np.sum(clean**2)) / (clean.size * 10.0 ** (snr_db / 10.0)))
+    expected = clean + sigma * np.random.default_rng(seed).standard_normal(clean.shape)
+    noisy = add_noise_snr(PixelMatrix(clean, 1, clean.shape[1]), snr_db, seed)
+    assert noisy.values.tobytes() == expected.tobytes()
+
+
+def test_noise_allocates_one_matrix():
+    y = PixelMatrix(np.random.default_rng(5).uniform(0.1, 1.0, size=(64, 4096)), 64, 64)
+    tracemalloc.start()
+    try:
+        noisy = add_noise_snr(y, 20.0, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, plus the container's finiteness mask (an eighth)
+    assert peak <= 1.2 * y.values.nbytes
+    assert not noisy.values.flags.writeable
+
+
+@pytest.mark.parametrize("snr_db", [3100.0, 1e308, 10**400, np.float64(3100.0), -math.inf],
+                         ids=["3100", "1e308", "int 10**400", "numpy 3100", "-inf"])
+def test_snr_whose_ratio_is_past_the_float_range_is_noiseless(snr_db):
+    # 10^(snr/10) overflows (or snr_db is an int no float holds): like inf,
+    # and -inf returns the input too, as it always has
+    y = PixelMatrix(np.ones((3, 4)), 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = add_noise_snr(y, snr_db, seed=0)
+    assert out.values.tobytes() == y.values.tobytes()

@@ -7,6 +7,7 @@ gaussian_filter, the reference the scenes were first drawn with.
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -73,6 +74,9 @@ class TestSceneSpec:
             # a scene no float64 array can hold is refused before any allocation
             (dict(rows=10**400), "more values than an array can hold"),
             (dict(bands=2**30, rows=2**16, cols=2**16), "more values than an array can hold"),
+            # so is a blur kernel no array can hold (2 * int(4 sigma + 0.5) + 1 taps)
+            (dict(field_smoothness=1e300), "field_smoothness 1e\\+300 makes a blur kernel"),
+            (dict(field_smoothness=2.0**58), "field_smoothness"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, fragment):
@@ -229,6 +233,18 @@ class TestMakeScene:
         noise = float(np.sum((scene.noisy.values - scene.clean.values) ** 2))
         measured = 10.0 * math.log10(signal / noise)
         assert abs(measured - snr_db) < 0.1
+
+    def test_scene_allocates_three_cubes_at_most(self):
+        # the noisy matrix is folded and dropped before the clean one is
+        # folded, and the noise is drawn in the buffer it is returned in
+        spec = SceneSpec(rows=64, cols=64, endmembers=3, bands=128)
+        tracemalloc.start()
+        try:
+            make_scene(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * spec.bands * spec.pixels * 8
 
     def test_bitwise_reproducible(self):
         spec = small_spec(seed=21)
