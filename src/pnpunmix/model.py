@@ -128,6 +128,20 @@ def mix(endmembers: EndmemberMatrix, abundances: AbundanceMatrix) -> PixelMatrix
     return PixelMatrix(y, abundances.spatial_rows, abundances.spatial_cols)
 
 
+def _power_ratio(snr_db: float) -> float:
+    """10^(snr_db/10), inf past the float range; ValueError if a finite
+    snr_db's ratio underflows to 0, where the noise would be infinite."""
+    try:
+        with np.errstate(over="ignore"):  # a numpy scalar's ratio overflows to inf
+            ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # the ratio, or an int snr_db, is past the float range
+        ratio = math.inf
+    if ratio == 0.0 and snr_db != -math.inf:
+        raise ValueError(f"snr_db {snr_db!r} is too low: its power ratio "
+                         "10^(snr_db/10) underflows to 0")
+    return ratio
+
+
 def add_noise_snr(clean: PixelMatrix, snr_db: float, seed: int) -> PixelMatrix:
     """Add white Gaussian noise at a target signal-to-noise ratio.
 
@@ -145,14 +159,11 @@ def add_noise_snr(clean: PixelMatrix, snr_db: float, seed: int) -> PixelMatrix:
         clean: noiseless spectra.
         snr_db: target SNR in dB; ``inf`` (or ``-inf``), or one whose ratio
             10^(snr_db/10) is past the float range, returns the input
-            unchanged.
+            unchanged.  A finite snr_db whose ratio underflows to 0 (below
+            about -3233 dB) is a ValueError.
         seed: generator seed.
     """
-    try:
-        with np.errstate(over="ignore"):  # a numpy scalar's ratio overflows to inf
-            ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:  # the ratio, or an int snr_db, is past the float range
-        ratio = math.inf
+    ratio = _power_ratio(snr_db)
     if ratio == math.inf or snr_db == -math.inf:
         return PixelMatrix(clean.values, clean.spatial_rows, clean.spatial_cols)
     values = clean.values

@@ -163,24 +163,33 @@ class AdmmState:
         return tuple(r.qp_unconverged for r in self.iterations)
 
 
-def _split_operator(mode: str, m: np.ndarray) -> np.ndarray:
-    """H of the split z = H a: the identity for pro-a, S V' for pro-h."""
+def _split_operator(mode: str, m: np.ndarray) -> np.ndarray | None:
+    """H of the split z = H a: S V' for pro-h, None for pro-a's identity."""
     if mode == "pro-a":
-        return np.eye(m.shape[1])
+        return None
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     sign = np.sign(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
     return (sign * s)[:, None] * vt
 
 
-def _split_gap(h: np.ndarray, a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
+def _times(h: np.ndarray | None, x: np.ndarray, spec: str = "ij,jn->in") -> np.ndarray:
+    """H x, or H' x with spec "ji,jn->in", by einsum; x itself for H = I (None).
+
+    einsum makes no BLAS call, so no BLAS thread spins through the next
+    Z-step.
+    """
+    return x if h is None else np.einsum(spec, h, x)
+
+
+def _split_gap(h: np.ndarray | None, a: np.ndarray,
+               z: np.ndarray) -> tuple[np.ndarray, float]:
     """H A and the relative gap ||H A - Z||_F / ||Z||_F (0/0 = 0, x/0 = inf).
 
     Should ||Z||^2 leave the normal range or ||D||^2 = ||H A - Z||^2
     overflow, both are redone on D and Z times 2^-e, e = frexp(max|Z|)[1],
-    an exact scaling: the gap does not depend on the data's scale.  No
-    BLAS call is made, so no BLAS thread spins through the next Z-step.
+    an exact scaling: the gap does not depend on the data's scale.
     """
-    ha = np.einsum("ij,jn->in", h, a)
+    ha = _times(h, a)
     d = ha - z
     with np.errstate(over="ignore"):  # a sum past the float range is inf, no warning
         dd, zz = np.sum(d * d), np.sum(z * z)
@@ -229,8 +238,8 @@ def unmix(
     rho = float(cfg.rho0)
     sigma = math.sqrt(float(cfg.lam) / rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = mtm + rho * (h.T @ h)
-    ha = np.einsum("ij,jn->in", h, a)
+        q = mtm + rho * (np.eye(endmembers.count) if h is None else h.T @ h)
+    ha = _times(h, a)
     u = np.zeros_like(ha)
 
     records: list[IterationRecord] = []
@@ -246,7 +255,7 @@ def unmix(
         u = u + ha - z
         tic = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
-            fs = -(mty + rho * np.einsum("ji,jn->in", h, z - u))
+            fs = -(mty + rho * _times(h, z - u, "ji,jn->in"))
         a, sweeps, conv, shifted = _solve_batch(q, fs, a)
         a_seconds = time.perf_counter() - tic
 

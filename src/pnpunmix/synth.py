@@ -30,7 +30,7 @@ import numpy as np
 from .cube import HsiCube, _to_pixels, fold
 from .denoise import _correlate_symmetric
 from .errors import ComputeError
-from .model import AbundanceMatrix, EndmemberMatrix, add_noise_snr, mix
+from .model import AbundanceMatrix, EndmemberMatrix, _power_ratio, add_noise_snr, mix
 
 __all__ = [
     "SceneSpec",
@@ -65,6 +65,8 @@ class SceneSpec:
         pure_pixel_fraction: share of pixels replaced with pure basis
             columns, in [0, 1].
         snr_db: noise level for the noisy cube; ``inf`` means noiseless.
+            ``-inf``, NaN and SNRs whose ratio 10^(snr_db/10) underflows
+            to 0 are refused.
         seed: master seed; identical specs produce bitwise identical scenes.
     """
 
@@ -106,6 +108,8 @@ class SceneSpec:
             raise ValueError(f"pure_pixel_fraction must be in [0, 1], got {frac}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
+        if _power_ratio(self.snr_db) == 0.0:  # a finite SNR that underflows raises there
+            raise ValueError("snr_db must not be -inf")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -127,6 +127,14 @@ class TestSynthCommand:
         assert err.startswith("pnpunmix: error [scene generation]: field_smoothness ")
         assert len(err.splitlines()) == 1 and not out.exists()
 
+    def test_snr_whose_ratio_underflows_is_usage_error(self, tmp_path, capsys):
+        # 10^(-400) underflows to 0: the noise would be infinite
+        out = tmp_path / "loud"
+        assert main(SCENE_ARGS + ["--snr-db=-4000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [scene generation]: snr_db -4000.0 ")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         argv = SCENE_ARGS[:-2] + ["--seed", "-1", "--out", str(tmp_path / "x")]
         assert main(argv) == 2

@@ -163,3 +163,11 @@ def test_snr_whose_ratio_is_past_the_float_range_is_noiseless(snr_db):
         warnings.simplefilter("error")
         out = add_noise_snr(y, snr_db, seed=0)
     assert out.values.tobytes() == y.values.tobytes()
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, -3240.0, -10**4])
+def test_snr_whose_ratio_underflows_is_a_value_error(snr_db):
+    # 10^(snr/10) underflows to 0, so sigma would divide by zero
+    y = PixelMatrix(np.ones((3, 4)), 2, 2)
+    with pytest.raises(ValueError, match="snr_db .* underflows to 0"):
+        add_noise_snr(y, snr_db, seed=0)

@@ -13,6 +13,7 @@ Hand-worked oracles (derived before the solver was written):
 
 import functools
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -213,25 +214,35 @@ def _noisy_mixtures(rng, bands, count, pixels):
     return em, em.values @ truth + 0.02 * rng.standard_normal((bands, pixels))
 
 
+# a width rule of 1 sends every free-set group to the broadcast path, one
+# of 2^62 every group to the stack
+WIDTHS = st.sampled_from([1, 2**62])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     count=st.integers(1, 20),
     pixels=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
+    width=WIDTHS,
     data=st.data(),
 )
-def test_fcls_is_batch_invariant(count, pixels, seed, data):
-    # every pixel gets the same bytes alone, in the full batch and in any
-    # sub-batch, whatever free-set patterns its neighbours are grouped into
+def test_fcls_is_batch_invariant(count, pixels, seed, width, data):
+    # every pixel gets the default's bytes alone, in the full batch and in
+    # any sub-batch, whatever free-set patterns its neighbours are grouped
+    # into and whichever path solves its faces
     rng = np.random.default_rng(seed)
     em, y = _noisy_mixtures(rng, count + int(rng.integers(0, 8)), count, pixels)
     batch = fcls(em, PixelMatrix(y, 1, pixels)).values
     sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
-    part = fcls(em, PixelMatrix(y[:, sub], 1, len(sub))).values
-    assert_array_equal(part, batch[:, sub])
-    for j in range(pixels):
-        alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
-        assert_array_equal(alone[:, 0], batch[:, j])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_WIDE_PIXELS", width)
+        assert_array_equal(fcls(em, PixelMatrix(y, 1, pixels)).values, batch)
+        part = fcls(em, PixelMatrix(y[:, sub], 1, len(sub))).values
+        assert_array_equal(part, batch[:, sub])
+        for j in range(pixels):
+            alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
+            assert_array_equal(alone[:, 0], batch[:, j])
 
 
 def _fcls_scaled(m, y, c):
@@ -337,14 +348,15 @@ def _warm_starts(rng, count, pixels):
     pixels=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
     log_rho=st.floats(-16.0, 2.0),
+    width=WIDTHS,
     data=st.data(),
 )
 def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log_rho,
-                                                 data):
+                                                 width, data):
     # the loop's A-step: Q = M'M + rho I from warm starts on the simplex.
     # With B < P and a tiny rho a face is singular and takes the shifted
-    # retry; every column still gets the same bytes alone and in any
-    # sub-batch
+    # retry; every column still gets the default's bytes (a, sweeps,
+    # converged, shifted) alone and in any sub-batch, on either path
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.05, 0.95, size=(bands, count))
     q = m.T @ m + 10.0**log_rho * np.eye(count)
@@ -354,13 +366,17 @@ def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log
     a0 = _warm_starts(rng, count, pixels)
     batch = qp._solve_batch(q, fs, a0)
     sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
-    part = qp._solve_batch(q, fs[:, sub], a0[:, sub])  # a, sweeps, converged, shifted
-    for got, want in zip(part, batch):
-        assert_array_equal(got, want[..., sub])
-    for j in range(pixels):
-        alone = qp._solve_batch(q, fs[:, j : j + 1], a0[:, j : j + 1])
-        for got, want in zip(alone, batch):
-            assert_array_equal(got, want[..., j : j + 1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_WIDE_PIXELS", width)
+        for got, want in zip(qp._solve_batch(q, fs, a0), batch):
+            assert_array_equal(got, want)
+        part = qp._solve_batch(q, fs[:, sub], a0[:, sub])  # a, sweeps, converged, shifted
+        for got, want in zip(part, batch):
+            assert_array_equal(got, want[..., sub])
+        for j in range(pixels):
+            alone = qp._solve_batch(q, fs[:, j : j + 1], a0[:, j : j + 1])
+            for got, want in zip(alone, batch):
+                assert_array_equal(got, want[..., j : j + 1])
 
 
 def test_fcls_batch_invariant_past_64_endmembers():
@@ -372,6 +388,68 @@ def test_fcls_batch_invariant_past_64_endmembers():
     for j in (0, 5):
         alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
         assert_array_equal(alone[:, 0], batch[:, j])
+
+
+# An ill-conditioned face that is not singular: Q = M'M for 8 bands and 6
+# endmembers, columns 0 and 1 of M parallel to 1e-9 relative and column
+# brightness spread over 1e6 (Q's eigenvalues over 1e17).  From this warm
+# start the pixel passes the pivot cutoff, is never shifted and releases
+# and pins variables without moving for the whole sweep budget.
+CYCLE_Q = [
+    1322086.4506819607, 1354367.0306888488, 3370.24095117175, 1.0202628642008102,
+    6.103126337019398, 185.82353727566203, 1354367.0306888488, 1387435.7859660026,
+    3452.5300727421827, 1.0451740014406652, 6.252142657330885, 190.36067745972167,
+    3370.24095117175, 3452.5300727421827, 10.6524240029331, 0.002659589514422823,
+    0.01771228443400771, 0.5279159440452611, 1.0202628642008102, 1.0451740014406652,
+    0.002659589514422823, 9.783635690287827e-07, 4.402363319952626e-06,
+    0.0001549438069530404, 6.103126337019398, 6.252142657330885,
+    0.01771228443400771, 4.402363319952626e-06, 4.292810060396233e-05,
+    0.001001769237224238, 185.82353727566203, 190.36067745972167,
+    0.5279159440452611, 0.0001549438069530404, 0.001001769237224238,
+    0.03553447213351166,
+]
+CYCLE_F = [
+    -515821.0111346443, -1515267.4607620994, 281689.0408072535, 446069.0563706391,
+    -299946.2816057418, 2521899.0352724637,
+]
+CYCLE_A0 = [0.0931668479182257, 0.87200112803512, 0.0, 0.0348320240466542, 0.0, 0.0]
+
+
+def test_an_ill_conditioned_face_cycles_for_the_whole_budget(monkeypatch):
+    # pinned as it stands: no cycle detection, which would change the
+    # result; the last iterate stays feasible and is the same on both paths
+    q = np.reshape(CYCLE_Q, (6, 6))
+    f, a0 = np.array(CYCLE_F)[:, None], np.array(CYCLE_A0)[:, None]
+    a, sweeps, converged, shifted = want = qp._solve_batch(q, f, a0)
+    assert sweeps[0] == qp.QP_MAX_SWEEPS
+    assert not converged[0] and not shifted[0]
+    assert a.min() >= 0.0 and abs(a.sum() - 1.0) <= 1e-12
+    for width in (1, 2**62):
+        monkeypatch.setattr(qp, "_WIDE_PIXELS", width)
+        for got, ref in zip(qp._solve_batch(q, f, a0), want):
+            assert_array_equal(got, ref)
+
+
+def test_stacked_faces_hold_one_chunk_at_a_time(monkeypatch):
+    # P=40 on 4096 pixels from warm starts: about as many free-set patterns
+    # as pixels, every group narrow.  Stacking all of them would hold 4096
+    # padded 41 x 41 systems, 55 MB each for the matrices and the factors;
+    # in chunks of 2^16 values (512 KiB) the peak is four (P, N) arrays
+    # and eight chunks
+    rng = np.random.default_rng(40)
+    m = rng.uniform(0.05, 0.95, size=(48, 40))
+    q, fs = m.T @ m, -(m.T @ rng.uniform(0.0, 1.0, size=(48, 4096)))
+    a0 = _warm_starts(rng, 40, 4096)
+    monkeypatch.setattr(qp, "_WIDE_PIXELS", 2**62)
+    monkeypatch.setattr(qp, "_CHUNK_VALUES", 2**16)
+    monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)
+    tracemalloc.start()
+    try:
+        qp._solve_batch(q, fs, a0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * fs.nbytes + 8 * 8 * 2**16
 
 
 # Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.  The solver's

@@ -77,6 +77,9 @@ class TestSceneSpec:
             # so is a blur kernel no array can hold (2 * int(4 sigma + 0.5) + 1 taps)
             (dict(field_smoothness=1e300), "field_smoothness 1e\\+300 makes a blur kernel"),
             (dict(field_smoothness=2.0**58), "field_smoothness"),
+            # infinitely loud noise: -inf, or a power ratio that underflows to 0
+            (dict(snr_db=-math.inf), "snr_db must not be -inf"),
+            (dict(snr_db=-4000.0), "snr_db -4000.0 is too low"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, fragment):
