@@ -137,9 +137,13 @@ def _power_ratio(snr_db: float) -> float:
     except OverflowError:  # the ratio, or an int snr_db, is past the float range
         ratio = math.inf
     if ratio == 0.0 and snr_db != -math.inf:
-        raise ValueError(f"snr_db {snr_db!r} is too low: its power ratio "
-                         "10^(snr_db/10) underflows to 0")
+        raise _too_low(snr_db, "its power ratio 10^(snr_db/10) underflows to 0")
     return ratio
+
+
+def _too_low(snr_db: float, why: str) -> ValueError:
+    """The ValueError of an snr_db whose noise the float range cannot hold."""
+    return ValueError(f"snr_db {snr_db!r} is too low: {why}")
 
 
 def add_noise_snr(clean: PixelMatrix, snr_db: float, seed: int) -> PixelMatrix:
@@ -160,7 +164,8 @@ def add_noise_snr(clean: PixelMatrix, snr_db: float, seed: int) -> PixelMatrix:
         snr_db: target SNR in dB; ``inf`` (or ``-inf``), or one whose ratio
             10^(snr_db/10) is past the float range, returns the input
             unchanged.  A finite snr_db whose ratio underflows to 0 (below
-            about -3233 dB) is a ValueError.
+            about -3233 dB), or whose sigma overflows (below about -3080 dB
+            at unit signal power), is a ValueError.
         seed: generator seed.
     """
     ratio = _power_ratio(snr_db)
@@ -169,6 +174,10 @@ def add_noise_snr(clean: PixelMatrix, snr_db: float, seed: int) -> PixelMatrix:
     values = clean.values
     noisy = np.square(values, out=np.empty_like(values))
     sigma = np.sqrt(float(noisy.sum()) / (values.size * ratio))
+    # sigma^2 and the values' squares are finite floats, so a finite sigma and
+    # every |value| are at most sqrt(max float) ~ 1.3e154: no noisy value overflows
+    if not np.isfinite(sigma):
+        raise _too_low(snr_db, "its noise level sigma overflows the float range")
     np.random.default_rng(seed).standard_normal(out=noisy)
     noisy *= sigma
     noisy += values

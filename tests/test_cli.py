@@ -135,6 +135,16 @@ class TestSynthCommand:
         assert err.startswith("pnpunmix: error [scene generation]: snr_db -4000.0 ")
         assert len(err.splitlines()) == 1 and not out.exists()
 
+    def test_snr_whose_sigma_overflows_is_usage_error(self, tmp_path, capsys):
+        # 10^(-320) is a subnormal ratio, but the energy over it overflows
+        out = tmp_path / "louder"
+        argv = ["synth", "--rows", "8", "--cols", "8", "--endmembers", "2", "--bands", "4",
+                "--snr-db=-3200", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [scene generation]: snr_db -3200.0 ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err and not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         argv = SCENE_ARGS[:-2] + ["--seed", "-1", "--out", str(tmp_path / "x")]
         assert main(argv) == 2

@@ -184,6 +184,37 @@ def test_nlm_volume_matches_band_reference(data, lead, rows, cols, patch_radius,
     assert_allclose(out, want.reshape(volume.shape), rtol=0, atol=tol)
 
 
+def test_shipped_nlm_is_the_reference_at_its_own_constants():
+    # no constant patched: the filter the library ships is the reference at
+    # the module's own radii and bandwidth scale
+    volume = np.random.default_rng(6).uniform(size=(2, 23, 19))
+    sigma = 0.05
+    out = nlm_filter(volume, sigma)
+    want = np.stack([_nlm_reference(band, sigma, denoise_module.NLM_PATCH_RADIUS,
+                                    denoise_module.NLM_SEARCH_RADIUS,
+                                    denoise_module.NLM_H_SCALE) for band in volume])
+    assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spike", [(11, 9), (0, 0), (22, 5)])
+def test_nlm_spike_reaches_exactly_search_plus_patch_radius(spike):
+    # a pixel set to the image's maximum (so the power-of-two scale stays)
+    # moves only the outputs whose window holds a patch that covers it: at
+    # Chebyshev distance at most NLM_SEARCH_RADIUS + NLM_PATCH_RADIUS, with
+    # replicated borders only ever bringing it closer
+    img = np.random.default_rng(7).uniform(size=(23, 19))
+    spiked = img.copy()
+    spiked[spike] = img.max()
+    changed = nlm_filter(spiked, 0.05) != nlm_filter(img, 0.05)
+    rows, cols = np.nonzero(changed)
+    reach = np.maximum(np.abs(rows - spike[0]), np.abs(cols - spike[1]))
+    radius = denoise_module.NLM_SEARCH_RADIUS + denoise_module.NLM_PATCH_RADIUS
+    assert reach.max() <= radius
+    if all(radius <= c < n - radius for c, n in zip(spike, img.shape)):
+        # away from the border the whole reach is used: no smaller window
+        assert reach.max() == radius
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(volume=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 9),
                                            st.integers(1, 9)),
@@ -281,7 +312,8 @@ def test_nlm_subnormal_h2_keeps_only_the_centre_weight():
 def test_nlm_overflowing_h2_is_a_box_mean():
     # h^2 = (10 * 1e160)^2 is beyond the float range: every weight is 1
     img = np.random.default_rng(4).uniform(size=(10, 10))
-    want = ndimage.uniform_filter(img, size=11, mode="nearest")
+    size = 2 * denoise_module.NLM_SEARCH_RADIUS + 1
+    want = ndimage.uniform_filter(img, size=size, mode="nearest")
     assert_allclose(nlm_filter(img, 1e160), want, rtol=0, atol=1e-12)
 
 

@@ -132,6 +132,8 @@ def test_infinite_snr_is_noiseless():
 )
 # near the largest ratio that does not overflow, the noise still shows
 @example(clean=np.array([[1e6, 1e-300]]), snr_db=3080.0, seed=1)
+# near the lowest SNR whose sigma (~1e154) is finite, every noisy value is too
+@example(clean=np.ones((3, 4)), snr_db=-3080.0, seed=0)
 def test_noise_is_the_direct_expression_bit_for_bit(clean, snr_db, seed):
     # the in-place buffer gives the bytes of the expression it replaced
     sigma = np.sqrt(float(np.sum(clean**2)) / (clean.size * 10.0 ** (snr_db / 10.0)))
@@ -171,3 +173,14 @@ def test_snr_whose_ratio_underflows_is_a_value_error(snr_db):
     y = PixelMatrix(np.ones((3, 4)), 2, 2)
     with pytest.raises(ValueError, match="snr_db .* underflows to 0"):
         add_noise_snr(y, snr_db, seed=0)
+
+
+@pytest.mark.parametrize("scale, snr_db", [(1.0, -3200.0), (1.0, -3090.0), (1e100, -2500.0)])
+def test_snr_whose_sigma_overflows_is_a_value_error(scale, snr_db):
+    # the ratio is a normal or subnormal float, but the energy over it, sigma^2,
+    # is past the float range: the noise would be infinite
+    y = PixelMatrix(np.full((3, 4), scale), 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="snr_db .* too low: .*sigma overflows"):
+            add_noise_snr(y, snr_db, seed=0)

@@ -221,8 +221,7 @@ def test_rmse_trace_needs_truth():
     assert all(r.rmse is None for r in state.iterations)
 
 
-def test_same_seed_bitwise_reproducible(monkeypatch):
-    monkeypatch.setattr(sys.modules["pnpunmix.denoise"], "NLM_SEARCH_RADIUS", 3)
+def test_same_seed_bitwise_reproducible():
     em, truth, clean, noisy = _scene()
     cfg = PnpConfig(
         mode="pro-a",
