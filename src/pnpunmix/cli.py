@@ -34,6 +34,7 @@ from .cube import fold
 from .denoise import _registered, available_denoisers, denoise
 from .errors import ComputeError, FileFormatError, ShapeError
 from .io import (
+    _beyond_float32,
     _read_pixels,
     _write_payload,
     read_abundances,
@@ -47,6 +48,7 @@ from .io import (
     write_graymap,
 )
 from .metrics import _evaluate, evaluate
+from .model import _too_low
 from .pnp import PnpConfig, default_config, unmix
 from .synth import SceneSpec, make_scene
 
@@ -158,6 +160,8 @@ def cmd_synth(args) -> int:
     with _phase("scene generation"):
         spec = SceneSpec(**{f.name: getattr(args, f.name) for f in fields(SceneSpec)})
         scene = make_scene(spec)
+        if _beyond_float32(scene.noisy.values):
+            raise _too_low(spec.snr_db, "its noisy cube exceeds a cube file's float32 range")
     with _phase("output writing"):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -57,6 +57,13 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".hdr")
 
 
+def _beyond_float32(values: np.ndarray) -> bool:
+    """Whether a float32 payload would store some value as inf; the least
+    and greatest decide for all, since rounding is monotone."""
+    with np.errstate(over="ignore"):
+        return bool(np.isinf(np.array([values.min(), values.max()], dtype="<f4")).any())
+
+
 def _write_payload(path, values: np.ndarray, rows: int, cols: int) -> None:
     """Write cube planes or pixel columns as a ``<f4`` payload plus ``.hdr``.
 
@@ -65,20 +72,14 @@ def _write_payload(path, values: np.ndarray, rows: int, cols: int) -> None:
     CHUNK_VALUES values each unless one channel holds more, so no copy of
     the whole payload is made.  A value beyond the float32 range would be
     stored as inf, which no reader takes back, so it raises ValueError
-    before anything is written; casting the least and greatest values
-    decides that for all, since rounding is monotone.
+    before anything is written.
     """
     path = Path(path)
     planes = _pixel_view(values, rows, cols)
     if planes.size == 0:
         raise ValueError(f"{path}: an empty payload would not read back")
-    try:
-        with np.errstate(over="raise"):
-            np.array([planes.min(), planes.max()]).astype("<f4")
-    except FloatingPointError:
-        raise ValueError(
-            f"{path}: values beyond the float32 range would not read back"
-        ) from None
+    if _beyond_float32(planes):
+        raise ValueError(f"{path}: values beyond the float32 range would not read back")
     shape = (planes.shape[0], rows, cols)
     write_config(_sidecar(path), dict(zip(_HEADER_KEYS, shape)) | _ENCODING)
     step = max(1, CHUNK_VALUES // (rows * cols))

@@ -22,25 +22,20 @@ iteration): a Q, trace(Q) or normalised f that is not finite, a
 trace(Q)/P too small for a finite power-of-two scale, and a non-finite
 or infeasible result raise ComputeError naming the a-step.
 
-Each sweep groups the open pixels by free-set pattern with one stable
-lexsort of their free flags packed by np.packbits (ceil(P/8) bytes, so
-any P).  Every face is posed at size P+1: a pinned variable's row and
-column are the identity's, with a zero border entry and right-hand side.
-That is exact, since its elimination steps only subtract +0, so the free
-entries and the multiplier keep the bytes of the face's own system.  A
-group of at least _WIDE_PIXELS pixels is factored alone and substituted
-by broadcast across its columns, in cache-sized blocks; all narrower
-groups are factored as one stack and substituted at once, each pixel
-gathering its face's factors, in chunks of _CHUNK_VALUES / (P+1)^2
-pixels.  At P=5 a group costs about 0.25 ms plus 0.27 us per pixel on
-the broadcast path and 0.54 us per pixel in the stack: they break even
-near 1000 pixels (near 700 at P=16).  Pivots depend only on the matrix
-and every update is elementwise across columns, so a pixel's arithmetic
-is bit-identical alone or in any batch, on either path; LAPACK's
-multi-RHS solve is not, hence the small LU below.  Subproblem vectors
-use einsum for the same reason: BLAS matmul results depend on the batch
-width at the last ulp.  KKT residuals are computed only for single-pixel
-solves.
+The full face (nothing pinned) has one KKT matrix K for every pixel, so
+each solve inverts it once and forms every optimum K^-1 [-f; 1] by
+multiply-adds across all columns: the sum-to-one least-squares step
+FCLS starts from (Heinz & Chang, IEEE TGRS 2001).  A pixel that starts
+on that face, with an optimum >= 0 summing to 1 within FACE_SUM_TOL, is
+done after that one sweep.  The others run the active-set sweeps: each
+groups the open pixels by free-set pattern (a stable lexsort of their
+packed free flags), pads each face to size P+1 with identity rows for
+the pinned variables, which keeps the face's bytes, and factors the
+faces as one stack, _CHUNK_VALUES / (P+1)^2 pixels at a time.  Pivots
+depend only on the matrix and every update is elementwise across
+columns, so a pixel's bytes are the same alone or in any batch, unlike
+LAPACK's multi-RHS solve, BLAS matmul or an einsum over K^-1.  KKT
+residuals are computed only for single-pixel solves.
 """
 
 from __future__ import annotations
@@ -48,6 +43,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -67,9 +64,7 @@ QP_TOL = 1e-9
 QP_MAX_SWEEPS = 200
 FACE_SHIFT = 1e-10
 FACE_SUM_TOL = 1e-12
-# the narrowest group substituted by broadcast, and the values that one
-# broadcast block or narrow chunk may hold; read at call time
-_WIDE_PIXELS = 1024
+# the values that one chunk of stacked faces may hold; read at call time
 _CHUNK_VALUES = 2**17
 
 
@@ -159,18 +154,15 @@ def _factor(kmat: np.ndarray):
     return (u, mult, piv), singular
 
 
-def _substitute(factors, x: np.ndarray, sel) -> None:
+def _substitute(factors, x: np.ndarray, sel: np.ndarray) -> None:
     """Overwrite x (n, m) with the solutions of factored systems, in place:
-    column j with factor sel[j], or all with the one factor (slice(None))."""
+    column j with factor sel[j]."""
     u, mult, piv = factors
-    n, m = x.shape
+    n = x.shape[0]
     tmp = np.empty_like(x)
     for k in range(n):
         pk = piv[k, sel]
-        if pk.size == 1:  # one factor for every column: swap whole rows
-            if pk[0] != k:
-                x[[k, pk[0]]] = x[[pk[0], k]]
-        elif (sw := np.flatnonzero(pk != k)).size:
+        if (sw := np.flatnonzero(pk != k)).size:
             xk = x[k, sw]
             x[k, sw] = x[pk[sw], sw]
             x[pk[sw], sw] = xk
@@ -204,48 +196,56 @@ def _face_factors(q: np.ndarray, pats: np.ndarray):
     return factors, singular
 
 
+def _settle_full_face(q, nfs, a, free, done) -> None:
+    """Settle the pixels that start on the full face with a feasible optimum there."""
+    p, n = nfs.shape
+    factors, singular = _face_factors(q, np.ones((1, p), dtype=bool))
+    if singular[0]:  # the sweeps solve it shifted
+        return
+    kinv = np.eye(p + 1)
+    _substitute(factors, kinv, np.zeros(p + 1, dtype=np.intp))
+    x, tmp = np.repeat(kinv[:p, p:], n, axis=1), np.empty(n)
+    for i, j in np.ndindex(p, p):
+        x[i] += np.multiply(kinv[i, j], nfs[j], out=tmp)
+    settle = free[:, :p].all(axis=1) & (x.min(axis=0) >= 0.0)
+    settle &= np.abs(1.0 - reduce(iadd, x[1:], x[0].copy())) <= FACE_SUM_TOL
+    np.copyto(a, x, where=settle)
+    done |= settle
+
+
 def _face_sweep(q, nfs, a, free, done, px, pats, factors, sel) -> None:
     """One active-set sweep for the pixels px, column j on face pats[sel[j]]:
     jump to the face optimum and check the multipliers, or walk toward it."""
     p = q.shape[0]
     x = np.empty((p + 1, px.size))
     np.take(nfs, px, axis=1, out=x[:p], mode="clip")
-    fm = pats[sel].T  # (P, m), or (P, 1) for every column
-    full = fm.all()  # no variable is pinned, so no multiplier can be negative
-    if not full:
-        np.copyto(x[:p], 0.0, where=~fm)
+    fm = pats[sel].T
+    np.copyto(x[:p], 0.0, where=~fm)
     x[p] = 1.0
     _substitute(factors, x, sel)
     x, nu = x[:p], x[p]
     # an f that dwarfs Q costs the sum row its digits: move those columns
     # back onto it along the face.  Rows add in order (sum() would add a
     # lone column pairwise)
-    total = x[0] + x[1]
-    for row in x[2:]:
-        total += row
-    miss = 1.0 - total
+    miss = 1.0 - reduce(iadd, x[1:], x[0].copy())
     off = np.abs(miss) > FACE_SUM_TOL
-    if off.any():
-        np.add(x, miss / fm.sum(axis=0), out=x, where=fm & off)
+    np.add(x, miss / fm.sum(axis=0), out=x, where=fm & off)
     feas = x.min(axis=0) >= -ANC_CLAMP
     ipx, xw = px[~feas], x[:, ~feas]
     aw = a[:, ipx]  # where the pixels with an infeasible optimum start
     # jump to the face optimum; the infeasible ones are walked below
     np.copyto(x, 0.0, where=x < 0.0)
     a[:, px] = x
-    ok = True
-    if not full:
-        # on the face, g = Qa + f = -nu * 1; a pinned variable may stay at
-        # zero only if its multiplier g_i + nu is nonnegative
-        g = np.einsum("ij,jn->in", q, x) - nfs[:, px]
-        slack = np.where(fm, np.inf, g + nu)
-        ok = slack.min(axis=0) >= -QP_TOL
-        rel = feas & ~ok
-        free[px[rel], np.argmin(slack[:, rel], axis=0)] = True
+    # on the face, g = Qa + f = -nu * 1; a pinned variable may stay at
+    # zero only if its multiplier g_i + nu is nonnegative
+    g = np.einsum("ij,jn->in", q, x) - nfs[:, px]
+    slack = np.where(fm, np.inf, g + nu)
+    ok = slack.min(axis=0) >= -QP_TOL
+    rel = feas & ~ok
+    free[px[rel], np.argmin(slack[:, rel], axis=0)] = True
     done[px] = feas & ok
     if ipx.size:
         # walk toward the face optimum until a free variable hits zero
-        fw = np.broadcast_to(fm, x.shape)[:, ~feas]
         d = xw - aw
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d < 0.0, aw / -d, np.inf)
@@ -254,7 +254,7 @@ def _face_sweep(q, nfs, a, free, done, px, pats, factors, sel) -> None:
         anew = aw + t * d
         anew[anew < 0.0] = 0.0
         anew[block, np.arange(ipx.size)] = 0.0
-        np.copyto(aw, anew, where=fw)
+        np.copyto(aw, anew, where=fm[:, ~feas])
         a[:, ipx] = aw
         free[ipx, block] = False
 
@@ -291,34 +291,28 @@ def _solve_batch(q: np.ndarray, fs: np.ndarray, a0: np.ndarray):
     free = np.pad(a.T > 0.0, ((0, 0), (0, -p % 8)))  # a row per pixel, whole bytes
     done = np.full(n, p == 1)  # one endmember: a0 = 1 is the only feasible point
     iters, shifted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-    cols, chunk = max(1, _CHUNK_VALUES // (p + 1)), max(1, _CHUNK_VALUES // (p + 1) ** 2)
+    chunk = max(1, _CHUNK_VALUES // (p + 1) ** 2)
 
-    for _ in range(QP_MAX_SWEEPS):
+    for sweep in range(QP_MAX_SWEEPS):
+        iters += ~done  # one more sweep for every open pixel
+        if sweep == 0 and p > 1:
+            _settle_full_face(q, nfs, a, free, done)
         todo = np.flatnonzero(~done)
         if todo.size == 0:
             break
-        iters += ~done  # one more sweep for every open pixel
-        sub = free if todo.size == n else np.take(free, todo, axis=0)  # read before written
+        sub = free[todo]  # a copy: the sweep writes free
         keys = np.packbits(sub).reshape(todo.size, -1)
         order = np.lexsort(keys.T[::-1])
         starts = np.flatnonzero(np.r_[True, np.diff(keys[order], axis=0).any(axis=1)])
-        sizes = np.diff(starts, append=todo.size)
         pats = sub[order[starts], :p]  # each group's free flags
-        wide = sizes >= _WIDE_PIXELS
-        for g in np.flatnonzero(wide):
-            grp = todo[order[starts[g] : starts[g] + sizes[g]]]
-            factors, singular = _face_factors(q, pats[g : g + 1])
-            shifted[grp] |= singular[0]
-            for px in np.split(grp, range(cols, grp.size, cols)):
-                _face_sweep(q, nfs, a, free, done, px, pats[g : g + 1], factors, slice(None))
-        pos = order[np.repeat(~wide, sizes)]  # the narrow groups' pixels
-        gid = np.repeat(np.flatnonzero(~wide), sizes[~wide])
-        for c in range(0, pos.size, chunk):
-            used, sel = np.unique(gid[c : c + chunk], return_inverse=True)
-            factors, singular = _face_factors(q, pats[used])
-            px = todo[pos[c : c + chunk]]
+        gid = np.repeat(np.arange(starts.size), np.diff(starts, append=todo.size))
+        for c in range(0, todo.size, chunk):
+            g = gid[c : c + chunk]  # sorted, so the chunk's groups are a range
+            used, sel = pats[g[0] : g[-1] + 1], g - g[0]
+            factors, singular = _face_factors(q, used)
+            px = todo[order[c : c + chunk]]
             shifted[px[singular[sel]]] = True
-            _face_sweep(q, nfs, a, free, done, px, pats[used], factors, sel)
+            _face_sweep(q, nfs, a, free, done, px, used, factors, sel)
 
     if not np.isfinite(a).all():
         raise ComputeError("a-step produced non-finite abundances")

@@ -145,6 +145,17 @@ class TestSynthCommand:
         assert err.startswith("pnpunmix: error [scene generation]: snr_db -3200.0 ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err and not out.exists()
 
+    def test_snr_whose_noisy_cube_exceeds_float32_is_usage_error(self, tmp_path, capsys):
+        # sigma is finite in float64, but the noisy values exceed the float32
+        # range of a cube file: refused before the output directory is made
+        out = tmp_path / "loudest"
+        argv = ["synth", "--rows", "8", "--cols", "8", "--endmembers", "2", "--bands", "4",
+                "--snr-db=-3000", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pnpunmix: error [scene generation]: snr_db -3000.0 ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err and not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         argv = SCENE_ARGS[:-2] + ["--seed", "-1", "--out", str(tmp_path / "x")]
         assert main(argv) == 2

@@ -214,35 +214,27 @@ def _noisy_mixtures(rng, bands, count, pixels):
     return em, em.values @ truth + 0.02 * rng.standard_normal((bands, pixels))
 
 
-# a width rule of 1 sends every free-set group to the broadcast path, one
-# of 2^62 every group to the stack
-WIDTHS = st.sampled_from([1, 2**62])
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     count=st.integers(1, 20),
     pixels=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
-    width=WIDTHS,
     data=st.data(),
 )
-def test_fcls_is_batch_invariant(count, pixels, seed, width, data):
-    # every pixel gets the default's bytes alone, in the full batch and in
-    # any sub-batch, whatever free-set patterns its neighbours are grouped
-    # into and whichever path solves its faces
+def test_fcls_is_batch_invariant(count, pixels, seed, data):
+    # every pixel gets the same bytes alone, in the full batch and in any
+    # sub-batch, whatever free-set patterns its neighbours are grouped into
+    # and whether the full-face pass or a sweep settles it
     rng = np.random.default_rng(seed)
     em, y = _noisy_mixtures(rng, count + int(rng.integers(0, 8)), count, pixels)
     batch = fcls(em, PixelMatrix(y, 1, pixels)).values
     sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qp, "_WIDE_PIXELS", width)
-        assert_array_equal(fcls(em, PixelMatrix(y, 1, pixels)).values, batch)
-        part = fcls(em, PixelMatrix(y[:, sub], 1, len(sub))).values
-        assert_array_equal(part, batch[:, sub])
-        for j in range(pixels):
-            alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
-            assert_array_equal(alone[:, 0], batch[:, j])
+    assert_array_equal(fcls(em, PixelMatrix(y, 1, pixels)).values, batch)
+    part = fcls(em, PixelMatrix(y[:, sub], 1, len(sub))).values
+    assert_array_equal(part, batch[:, sub])
+    for j in range(pixels):
+        alone = fcls(em, PixelMatrix(y[:, j : j + 1], 1, 1)).values
+        assert_array_equal(alone[:, 0], batch[:, j])
 
 
 def _fcls_scaled(m, y, c):
@@ -348,15 +340,14 @@ def _warm_starts(rng, count, pixels):
     pixels=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
     log_rho=st.floats(-16.0, 2.0),
-    width=WIDTHS,
     data=st.data(),
 )
 def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log_rho,
-                                                 width, data):
+                                                 data):
     # the loop's A-step: Q = M'M + rho I from warm starts on the simplex.
     # With B < P and a tiny rho a face is singular and takes the shifted
-    # retry; every column still gets the default's bytes (a, sweeps,
-    # converged, shifted) alone and in any sub-batch, on either path
+    # retry; every column still gets the same bytes (a, sweeps, converged,
+    # shifted) alone and in any sub-batch
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.05, 0.95, size=(bands, count))
     q = m.T @ m + 10.0**log_rho * np.eye(count)
@@ -366,17 +357,15 @@ def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log
     a0 = _warm_starts(rng, count, pixels)
     batch = qp._solve_batch(q, fs, a0)
     sub = data.draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qp, "_WIDE_PIXELS", width)
-        for got, want in zip(qp._solve_batch(q, fs, a0), batch):
-            assert_array_equal(got, want)
-        part = qp._solve_batch(q, fs[:, sub], a0[:, sub])  # a, sweeps, converged, shifted
-        for got, want in zip(part, batch):
-            assert_array_equal(got, want[..., sub])
-        for j in range(pixels):
-            alone = qp._solve_batch(q, fs[:, j : j + 1], a0[:, j : j + 1])
-            for got, want in zip(alone, batch):
-                assert_array_equal(got, want[..., j : j + 1])
+    for got, want in zip(qp._solve_batch(q, fs, a0), batch):
+        assert_array_equal(got, want)
+    part = qp._solve_batch(q, fs[:, sub], a0[:, sub])  # a, sweeps, converged, shifted
+    for got, want in zip(part, batch):
+        assert_array_equal(got, want[..., sub])
+    for j in range(pixels):
+        alone = qp._solve_batch(q, fs[:, j : j + 1], a0[:, j : j + 1])
+        for got, want in zip(alone, batch):
+            assert_array_equal(got, want[..., j : j + 1])
 
 
 def test_fcls_batch_invariant_past_64_endmembers():
@@ -413,34 +402,31 @@ CYCLE_F = [
     -299946.2816057418, 2521899.0352724637,
 ]
 CYCLE_A0 = [0.0931668479182257, 0.87200112803512, 0.0, 0.0348320240466542, 0.0, 0.0]
+# the last iterate's bytes, recorded with the platform of the digests below
+CYCLE_A_SHA = "d178f405f17be808de0c7add988297f282f27e347004ca9b8796bd056965af86"
 
 
-def test_an_ill_conditioned_face_cycles_for_the_whole_budget(monkeypatch):
+def test_an_ill_conditioned_face_cycles_for_the_whole_budget():
     # pinned as it stands: no cycle detection, which would change the
-    # result; the last iterate stays feasible and is the same on both paths
+    # result; the last iterate stays feasible and keeps its bytes
     q = np.reshape(CYCLE_Q, (6, 6))
     f, a0 = np.array(CYCLE_F)[:, None], np.array(CYCLE_A0)[:, None]
-    a, sweeps, converged, shifted = want = qp._solve_batch(q, f, a0)
+    a, sweeps, converged, shifted = qp._solve_batch(q, f, a0)
     assert sweeps[0] == qp.QP_MAX_SWEEPS
     assert not converged[0] and not shifted[0]
     assert a.min() >= 0.0 and abs(a.sum() - 1.0) <= 1e-12
-    for width in (1, 2**62):
-        monkeypatch.setattr(qp, "_WIDE_PIXELS", width)
-        for got, ref in zip(qp._solve_batch(q, f, a0), want):
-            assert_array_equal(got, ref)
+    assert hashlib.sha256(a.tobytes()).hexdigest() == CYCLE_A_SHA
 
 
 def test_stacked_faces_hold_one_chunk_at_a_time(monkeypatch):
     # P=40 on 4096 pixels from warm starts: about as many free-set patterns
-    # as pixels, every group narrow.  Stacking all of them would hold 4096
-    # padded 41 x 41 systems, 55 MB each for the matrices and the factors;
-    # in chunks of 2^16 values (512 KiB) the peak is four (P, N) arrays
-    # and eight chunks
+    # as pixels.  Stacking all of them would hold 4096 padded 41 x 41
+    # systems, 55 MB each for the matrices and the factors; in chunks of
+    # 2^16 values (512 KiB) the peak is four (P, N) arrays and eight chunks
     rng = np.random.default_rng(40)
     m = rng.uniform(0.05, 0.95, size=(48, 40))
     q, fs = m.T @ m, -(m.T @ rng.uniform(0.0, 1.0, size=(48, 4096)))
     a0 = _warm_starts(rng, 40, 4096)
-    monkeypatch.setattr(qp, "_WIDE_PIXELS", 2**62)
     monkeypatch.setattr(qp, "_CHUNK_VALUES", 2**16)
     monkeypatch.setattr(qp, "QP_MAX_SWEEPS", 1)
     tracemalloc.start()
@@ -457,13 +443,18 @@ def test_stacked_faces_hold_one_chunk_at_a_time(monkeypatch):
 # scene and M'M) reproduce bit for bit; elsewhere the pin does not apply.
 P16_INPUT_SHA = "8d23f4faed221c33c1cc7ce66ab39fa1ee5f55c486ee876df7bcec7e760e89bd"
 P16_FCLS_SHA = "0794d409527ef98b9969a99fa5c4fae7aaf355bb3d6bfa92817878a69e0b879c"
-P16_UNMIX_SHA = "e268eba5764235c94a7cda25a1cf57849755a413071c73fbce8fc3a0b39fb2d9"
+P16_UNMIX_SHA = "dd5bf9771bbbddfbf2be9b7a35783449f472626089849f6fdba6c2561022e5fc"
+P16_COUNTS_SHA = "022175fc87b95565e78412ea5627594e17148d8ed58c249ce3b2e888adaa1b82"
 P5_INPUT_SHA = "f374ce478996188ec8595c721c7ee95a476674eb4b2e1b169cea9bc1bcfa8814"
-P5_FCLS_SHA = "36b6d5d755b49e065c40f88c09ddd641fa98bbd4d62835efe99081ee702add4b"
-P5_UNMIX_SHA = "45d22050cae81e6ca73b10b2d6ff938c6bdf845a7c0d156b4a699aca96357c04"
+P5_FCLS_SHA = "6eae5bafa6d056c2052472099ce834282c2ff5f5433dedb41ac6d299af89c7a8"
+P5_UNMIX_SHA = "d9bb51983884cf653d65f368eb0869db3fbdcf210d70f800da273b2d5c603aa4"
+P5_COUNTS_SHA = "28c138dc29d092de77b2db2c970ea06afe12d3a1799666dbffa587cdf6420010"
 
 
-def _assert_recorded_bytes(spec, input_sha, fcls_sha, unmix_sha, max_iter):
+def _assert_recorded_bytes(monkeypatch, spec, input_sha, fcls_sha, unmix_sha, counts_sha,
+                           max_iter):
+    # counts_sha pins the sweep counts: fcls's per-pixel (sweeps, converged,
+    # shifted) and each loop record's qp_* fields
     scene = make_scene(spec)
     observed = unfold(scene.noisy)
     m = scene.endmembers.values
@@ -474,25 +465,40 @@ def _assert_recorded_bytes(spec, input_sha, fcls_sha, unmix_sha, max_iter):
     def digest(est):
         return hashlib.sha256(est.values.tobytes()).hexdigest()
 
+    solve, solved = qp._solve_batch, []
+
+    def recording(*args):  # fcls's solve comes first
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(qp, "_solve_batch", recording)
     assert digest(fcls(scene.endmembers, observed)) == fcls_sha
     cfg = default_config("pro-a", "gaussian", snr_db=spec.snr_db, max_iter=max_iter,
                          stop_tol=0.0)
-    assert digest(unmix(observed, scene.endmembers, cfg)[0]) == unmix_sha
+    est, state = unmix(observed, scene.endmembers, cfg)
+    assert digest(est) == unmix_sha
+    _, sweeps, converged, shifted = solved[0]
+    records = [(r.qp_unconverged, r.qp_sweeps_max, r.qp_sweeps_mean, r.qp_shifted)
+               for r in state.iterations]
+    counts = [sweeps.tobytes(), converged.tobytes(), shifted.tobytes(), repr(records).encode()]
+    assert hashlib.sha256(b"".join(counts)).hexdigest() == counts_sha
 
 
-def test_grouping_keeps_the_recorded_p16_bytes():
+def test_grouping_keeps_the_recorded_p16_bytes(monkeypatch):
     # 16 endmembers on 32x32 pixels: up to 824 distinct free-set patterns in
     # one sweep and over 7000 pattern groups across an fcls solve
     spec = SceneSpec(rows=32, cols=32, endmembers=16, bands=48, snr_db=10.0)
-    _assert_recorded_bytes(spec, P16_INPUT_SHA, P16_FCLS_SHA, P16_UNMIX_SHA, 3)
+    _assert_recorded_bytes(monkeypatch, spec, P16_INPUT_SHA, P16_FCLS_SHA, P16_UNMIX_SHA,
+                           P16_COUNTS_SHA, 3)
 
 
-def test_loop_keeps_the_recorded_p5_bytes():
+def test_loop_keeps_the_recorded_p5_bytes(monkeypatch):
     # the benchmark's batch-CLI path at small size: pro-a gaussian with
     # warm starts, where most pixels sit on the full face and the rest
     # form mixed free-set groups within one sweep
     spec = SceneSpec(rows=64, cols=64, endmembers=5, bands=32, snr_db=20.0)
-    _assert_recorded_bytes(spec, P5_INPUT_SHA, P5_FCLS_SHA, P5_UNMIX_SHA, 5)
+    _assert_recorded_bytes(monkeypatch, spec, P5_INPUT_SHA, P5_FCLS_SHA, P5_UNMIX_SHA,
+                           P5_COUNTS_SHA, 5)
 
 
 def test_fcls_underdetermined_warns_but_solves():
