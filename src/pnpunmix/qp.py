@@ -32,10 +32,12 @@ groups the open pixels by free-set pattern (a stable lexsort of their
 packed free flags), pads each face to size P+1 with identity rows for
 the pinned variables, which keeps the face's bytes, and factors the
 faces as one stack, _CHUNK_VALUES / (P+1)^2 pixels at a time.  Pivots
-depend only on the matrix and every update is elementwise across
-columns, so a pixel's bytes are the same alone or in any batch, unlike
-LAPACK's multi-RHS solve, BLAS matmul or an einsum over K^-1.  KKT
-residuals are computed only for single-pixel solves.
+depend only on the matrix, every update is elementwise across columns
+and the multiplier check's Q a adds its products in order, so a pixel's
+bytes are the same alone or in any batch, unlike LAPACK's multi-RHS
+solve, BLAS matmul or an einsum, which sums a lone column in another
+order than a batch.  KKT residuals are computed only for single-pixel
+solves.
 """
 
 from __future__ import annotations
@@ -237,15 +239,18 @@ def _face_sweep(q, nfs, a, free, done, px, pats, factors, sel) -> None:
     np.copyto(x, 0.0, where=x < 0.0)
     a[:, px] = x
     # on the face, g = Qa + f = -nu * 1; a pinned variable may stay at
-    # zero only if its multiplier g_i + nu is nonnegative
-    g = np.einsum("ij,jn->in", q, x) - nfs[:, px]
+    # zero only if its multiplier g_i + nu is nonnegative.  Qa adds its
+    # products in order too, as einsum would not for a lone column
+    g = reduce(iadd, (q[:, j, None] * x[j] for j in range(1, p)), q[:, :1] * x[0])
+    g -= nfs[:, px]
     slack = np.where(fm, np.inf, g + nu)
     ok = slack.min(axis=0) >= -QP_TOL
     rel = feas & ~ok
     free[px[rel], np.argmin(slack[:, rel], axis=0)] = True
     done[px] = feas & ok
     if ipx.size:
-        # walk toward the face optimum until a free variable hits zero
+        # walk toward the face optimum until a free variable hits zero; a
+        # pinned variable is 0 at both ends, so its step is 0
         d = xw - aw
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d < 0.0, aw / -d, np.inf)
@@ -254,8 +259,7 @@ def _face_sweep(q, nfs, a, free, done, px, pats, factors, sel) -> None:
         anew = aw + t * d
         anew[anew < 0.0] = 0.0
         anew[block, np.arange(ipx.size)] = 0.0
-        np.copyto(aw, anew, where=fm[:, ~feas])
-        a[:, ipx] = aw
+        a[:, ipx] = anew
         free[ipx, block] = False
 
 

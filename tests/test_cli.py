@@ -389,8 +389,9 @@ class TestUnmixCommand:
                 == (tmp_path / "library.raw").read_bytes())
         endmembers = read_endmembers(scene_dir / "endmembers.csv")
         write_cube(tmp_path / "mixed.raw", fold(mix(endmembers, estimate)))
-        assert ((out / "reconstruction.raw").read_bytes()
-                == (tmp_path / "mixed.raw").read_bytes())
+        for suffix in (".raw", ".hdr"):  # so it reads back as read_cube reads any cube
+            assert ((out / "reconstruction").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "mixed").with_suffix(suffix).read_bytes())
 
     def test_seed_is_not_an_option(self, scene_dir, tmp_path, capsys):
         # the loop starts from the least-squares fit, so nothing is random
@@ -977,6 +978,34 @@ def test_one_hot_pixel_unmixes_with_exit_0(tiny_inputs, tmp_path, mode):
     code, err, caught = _run_on_corrupted(tiny_inputs, tmp_path, f"unmix {mode} nlm",
                                           ("noisy.raw", "value", 0, 1e20))
     assert (code, err, caught) == (0, "", [])
+
+
+SMALL_SCENE = ["--rows", "8", "--cols", "8", "--endmembers", "2", "--bands", "4"]
+
+
+@pytest.mark.parametrize("scene_args, command", [
+    # 16 endmembers: few pixels have a feasible full-face optimum, so most of
+    # the A-step runs in the stacked sweeps
+    (["--rows", "16", "--cols", "16", "--endmembers", "16", "--bands", "48"],
+     ["unmix", "--mode", "pro-a", "--denoiser", "identity"]),
+    # the paper's default prior, in the loop and alone
+    (SMALL_SCENE, ["unmix", "--mode", "pro-h", "--denoiser", "nlm"]),
+    (SMALL_SCENE, ["denoise", "--kind", "nlm", "--sigma", "0.05"]),
+], ids=["unmix pro-a identity P=16", "unmix pro-h nlm", "denoise nlm"])
+def test_runs_exit_0_silently_with_every_warning_an_error(tmp_path, capsys, scene_args,
+                                                           command):
+    scene = tmp_path / "scene"
+    assert main(["synth", *scene_args, "--out", str(scene)]) == 0
+    capsys.readouterr()
+    if command[0] == "unmix":
+        files = ["--cube", scene / "noisy.raw", "--endmembers", scene / "endmembers.csv",
+                 "--out", tmp_path / "out"]
+    else:
+        files = ["--input", scene / "noisy.raw", "--out", tmp_path / "out.raw"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, *map(str, files)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestDenoiserNames:

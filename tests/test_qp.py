@@ -368,6 +368,39 @@ def test_warm_started_solves_are_batch_invariant(count, bands, pixels, seed, log
             assert_array_equal(got, want[..., j : j + 1])
 
 
+def test_the_multiplier_check_is_batch_invariant():
+    # P=6 from a warm start with five variables free and the sixth pinned at
+    # 0, trace(Q)/P near 1 so the solver's scale is 1, and an interior
+    # optimum on the five-variable face.  The pinned variable's f entry is
+    # stepped one ulp at a time across the point where its multiplier
+    # g_6 + nu reads -QP_TOL, so whether it is released turns on the last
+    # bit of (Q a)_6.  Only faces where an einsum forms that entry
+    # differently for a lone column and a pair can tell
+    a0 = np.r_[np.full(5, 0.2), 0.0][:, None]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.05, 0.95, size=(8, 6))
+        q = b.T @ b + np.eye(6)
+        q = (q + q.T) / 2.0 * 2.0 ** -round(np.log2(np.trace(q) / 6))
+        f = np.r_[-(q[:5, :5] @ rng.dirichlet(np.ones(5))), 1e3]
+        a = qp._solve_batch(q, f[:, None], a0)[0]  # the face optimum: 6 stays pinned
+        lone, pair = (np.einsum("ij,jn->in", q, np.repeat(a, n, axis=1))[5, 0]
+                      for n in (1, 2))
+        if lone == pair:
+            continue
+        qa = q @ a[:, 0]
+        nu = -np.mean(qa[:5] + f[:5])  # on the face, (Qa + f)_i = -nu for each free i
+        edge = -qp.QP_TOL - nu - qa[5]
+        for k in range(-30, 31):
+            f[5] = edge + k * np.spacing(edge)
+            alone = qp._solve_batch(q, f[:, None], a0)
+            paired = qp._solve_batch(q, np.repeat(f[:, None], 2, axis=1),
+                                     np.repeat(a0, 2, axis=1))
+            for got, want in zip(alone, paired):  # a, sweeps, converged, shifted
+                assert_array_equal(got, want[..., :1])
+                assert_array_equal(got, want[..., 1:])
+
+
 def test_fcls_batch_invariant_past_64_endmembers():
     # 70 free flags per pixel: grouping must not rely on a 64-bit key
     rng = np.random.default_rng(23)
