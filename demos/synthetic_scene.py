@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from pnpunmix import SceneSpec, make_scene, unfold, fold, write_graymap, write_cube
+from pnpunmix.synth import PURE_PIXEL_FRACTION
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--out", default="demo_out/scene", help="output directory")
@@ -35,7 +36,7 @@ print(f"abundance column sums: min {a.sum(axis=0).min():.12f}, "
 pure = int((a.max(axis=0) == 1.0).sum())
 print(f"pure pixels: {pure} of {spec.pixels} "
       f"({100.0 * pure / spec.pixels:.1f}%, asked for "
-      f"{100.0 * spec.pure_pixel_fraction:.1f}%)")
+      f"{100.0 * PURE_PIXEL_FRACTION:.1f}%)")
 
 # re-measure the injected noise from the two cubes
 clean = unfold(scene.clean).values

@@ -191,8 +191,6 @@ def cmd_unmix(args) -> int:
         report, payload = _evaluate(endmembers, observed, estimate, truth=truth,
                                     clean=clean, payload=True)
         record = report.to_dict()
-        if truth is not None:
-            record["per_iteration_rmse"] = [r.rmse for r in state.iterations]
     with _phase("output writing"):
         out_dir = Path(settings["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,11 +216,7 @@ def cmd_eval(args) -> int:
         clean = _read_pixels(args.clean) if args.clean else None
     with _phase("evaluation"):
         report = evaluate(endmembers, observed, estimate, truth=truth, clean=clean)
-    record = json.dumps(report.to_dict(), sort_keys=True)
-    if args.out:
-        with _phase("output writing"):
-            Path(args.out).write_text(record + "\n")
-    print(record)
+    print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK
 
 
@@ -270,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--observed", required=True, help="cube the estimate explains")
     eval_p.add_argument("--truth", help="ground-truth abundances (enables rmse)")
     eval_p.add_argument("--clean", help="noiseless cube (enables psnr)")
-    eval_p.add_argument("--out", help="also write the JSON record here")
     eval_p.set_defaults(handler=cmd_eval)
 
     den = sub.add_parser("denoise", help="apply a denoiser to a cube")

@@ -37,8 +37,7 @@ def rmse(truth: AbundanceMatrix, estimate: AbundanceMatrix) -> float:
 
 def _rmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     """:func:`rmse` on two arrays of the same shape."""
-    diff = estimate - truth
-    return float(np.sqrt(np.mean(diff**2)))
+    return math.sqrt(_squared_error(estimate, truth) / truth.size)
 
 
 def _same_shape(a: tuple, b: tuple) -> None:
@@ -68,12 +67,12 @@ def _block_error(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
         return float(scratch.sum())
 
 
-def _squared_error(a: PixelMatrix, b: PixelMatrix) -> float:
-    """Σ(a - b)² over every entry, block by block."""
-    _same_shape(a.values.shape, b.values.shape)
+def _squared_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Σ(a - b)² over every entry of two same-shape arrays, block by block."""
+    _same_shape(a.shape, b.shape)
     total = 0.0
-    for start, stop, (scratch,) in _blocks(*a.values.shape, 1):
-        total += _block_error(a.values[:, start:stop], b.values[:, start:stop], scratch)
+    for start, stop, (scratch,) in _blocks(*a.shape, 1):
+        total += _block_error(a[:, start:stop], b[:, start:stop], scratch)
     return total
 
 
@@ -96,13 +95,14 @@ def psnr(estimate: PixelMatrix, reference: PixelMatrix) -> float:
     returns ``inf``; report the peak alongside when comparing runs, since
     it is data-dependent.
     """
-    error = _squared_error(estimate, reference)
+    error = _squared_error(estimate.values, reference.values)
     return _psnr_parts(float(estimate.values.max()), error, estimate.pixels)[1]
 
 
 def reconstruction_error(observed: PixelMatrix, reconstruction: PixelMatrix) -> float:
     """Root mean square spectral residual between observation and model fit."""
-    return math.sqrt(_squared_error(observed, reconstruction) / observed.values.size)
+    return math.sqrt(_squared_error(observed.values, reconstruction.values)
+                     / observed.values.size)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,8 @@ SPECTRUM_HI = 0.95
 # candidates drawn per endmember before the floor counts as unreachable
 MIN_ANGLE_DEG = 5.0
 MAX_TRIES = 500
+# share of pixels overwritten with pure basis columns
+PURE_PIXEL_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,6 @@ class SceneSpec:
         bands: spectral channels, at least ``endmembers``.
         field_smoothness: Gaussian-field kernel sigma in pixels; larger
             values give larger coherent abundance patches.
-        pure_pixel_fraction: share of pixels replaced with pure basis
-            columns, in [0, 1].
         snr_db: noise level for the noisy cube; ``inf`` means noiseless.
             ``-inf``, NaN and SNRs whose ratio 10^(snr_db/10) underflows
             to 0 are refused.
@@ -75,7 +75,6 @@ class SceneSpec:
     endmembers: int = 4
     bands: int = 64
     field_smoothness: float = 6.0
-    pure_pixel_fraction: float = 0.02
     snr_db: float = 20.0
     seed: int = 0
 
@@ -103,9 +102,6 @@ class SceneSpec:
         if 2 * _blur_radius(smooth) + 1 > np.iinfo(np.intp).max // 8:
             raise ValueError(f"field_smoothness {smooth:g} makes a blur kernel "
                              "of more values than an array can hold")
-        frac = float(self.pure_pixel_fraction)
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError(f"pure_pixel_fraction must be in [0, 1], got {frac}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
         if _power_ratio(self.snr_db) == 0.0:  # a finite SNR that underflows raises there
@@ -160,7 +156,7 @@ def generate_abundances(spec: SceneSpec) -> AbundanceMatrix:
 
     One random field is drawn per endmember, smoothed, standardized, and
     the per-pixel softmax across fields yields strictly positive fractions
-    summing to one. A ``pure_pixel_fraction`` share of pixels (chosen by a
+    summing to one. A ``PURE_PIXEL_FRACTION`` share of pixels (chosen by a
     stream independent of the fields) is overwritten with the basis vector
     of its dominant material.
 
@@ -183,7 +179,7 @@ def generate_abundances(spec: SceneSpec) -> AbundanceMatrix:
     a = _to_pixels(weights / denom)
     a.setflags(write=True)
 
-    n_pure = int(round(spec.pure_pixel_fraction * spec.pixels))
+    n_pure = int(round(PURE_PIXEL_FRACTION * spec.pixels))
     if n_pure > 0:
         pure_rng = np.random.default_rng(children[-1])
         chosen = pure_rng.choice(spec.pixels, size=n_pure, replace=False)

@@ -108,6 +108,14 @@ class TestSynthCommand:
         assert main(argv) == 2
         assert "scene generation" in capsys.readouterr().err
 
+    def test_pure_pixel_fraction_is_no_flag(self, tmp_path, capsys):
+        # the share of pure pixels is a constant of the generator, not a setting
+        out = tmp_path / "x"
+        assert main(SCENE_ARGS + ["--pure-pixel-fraction", "0.1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: unrecognized arguments: --pure-pixel-fraction 0.1\n"), err
+        assert not out.exists()
+
     def test_no_flags_write_the_scene_spec_defaults(self, tmp_path):
         out = tmp_path / "default"
         assert main(["synth", "--out", str(out)]) == 0
@@ -215,8 +223,9 @@ class TestUnmixCommand:
         assert run_unmix(scene_dir, with_truth, "--denoiser", "identity",
                          "--max-iter", "2",
                          "--truth", str(scene_dir / "truth.raw")) == 0
+        # per-run values only: the per-iteration ones are trace.csv's
         record = json.loads((with_truth / "metrics.json").read_text())
-        assert "rmse" in record
+        assert set(record) == {"reconstruction_error", "rmse"}
 
     def test_trace_rows_and_monotone_rho(self, scene_dir, tmp_path):
         out = tmp_path / "run"
@@ -251,13 +260,10 @@ class TestUnmixCommand:
             [str(i), repr(r.rho), repr(r.sigma), repr(r.primal_residual), repr(r.rmse)]
             for i, r in enumerate(state.iterations, 1)
         ]
-        record = json.loads((out / "metrics.json").read_text())
-        assert record["per_iteration_rmse"] == [r.rmse for r in state.iterations]
-        assert printed == record
+        assert printed == json.loads((out / "metrics.json").read_text())
 
         bare = tmp_path / "bare"
         assert run_unmix(scene_dir, bare, "--max-iter", "3") == 0
-        assert "per_iteration_rmse" not in json.loads(capsys.readouterr().out)
         rows = [line.split(",") for line in
                 (bare / "trace.csv").read_text().splitlines()]
         assert rows[0] == ["iteration", "rho", "sigma", "primal_residual"]
@@ -265,8 +271,6 @@ class TestUnmixCommand:
             [str(i), repr(r.rho), repr(r.sigma), repr(r.primal_residual)]
             for i, r in enumerate(state.iterations, 1)
         ]
-        assert "per_iteration_rmse" not in json.loads(
-            (bare / "metrics.json").read_text())
 
     def test_unknown_denoiser_is_configuration_error(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -463,26 +467,36 @@ class TestEvalCommand:
         assert record["psnr"] == math.inf
         assert record["reconstruction_error"] == 0.5
 
-    def test_record_matches_library_call_exactly(self, dyadic_files, tmp_path, capsys):
-        out_file = tmp_path / "report.json"
+    def test_record_matches_library_call_exactly(self, dyadic_files, capsys):
         code = main([
             "eval",
             "--estimate", str(dyadic_files["truth"]),
             "--truth", str(dyadic_files["truth"]),
             "--endmembers", str(dyadic_files["endmembers"]),
             "--observed", str(dyadic_files["observed"]),
-            "--out", str(out_file),
         ])
         assert code == 0
         stdout_record = json.loads(capsys.readouterr().out)
-        file_record = json.loads(out_file.read_text())
         report = evaluate(
             read_endmembers(dyadic_files["endmembers"]),
             unfold(read_cube(dyadic_files["observed"])),
             read_abundances(dyadic_files["truth"]),
             truth=read_abundances(dyadic_files["truth"]),
         )
-        assert stdout_record == file_record == report.to_dict()
+        assert stdout_record == report.to_dict()
+
+    def test_out_is_no_option(self, dyadic_files, tmp_path, capsys):
+        # the record goes to stdout only
+        out_file = tmp_path / "report.json"
+        code = main(["eval", "--estimate", str(dyadic_files["truth"]),
+                     "--endmembers", str(dyadic_files["endmembers"]),
+                     "--observed", str(dyadic_files["observed"]),
+                     "--out", str(out_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: --out {out_file}\n")
+        assert not out_file.exists()
 
 
 class TestDenoiseCommand:

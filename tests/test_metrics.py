@@ -169,7 +169,25 @@ def test_evaluate_holds_no_full_size_array():
     assert peak < observed.values.nbytes
 
 
-@pytest.mark.parametrize("wrong", ["observed", "clean", "endmembers"])
+def test_rmse_holds_no_full_size_array():
+    # the squared error is summed in one reused (P, block) buffer, never in
+    # a (P, pixels) difference
+    pixels = 16 * metrics.BLOCK_PIXELS
+    rng = np.random.default_rng(6)
+    truth, est = (AbundanceMatrix(rng.dirichlet(np.ones(5), size=pixels).T, 1, pixels)
+                  for _ in range(2))
+    tracemalloc.start()
+    try:
+        value = rmse(truth, est)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < truth.values.nbytes
+    direct = float(np.sqrt(np.mean((est.values - truth.values) ** 2)))
+    assert abs(value - direct) <= 4 * math.ulp(direct)
+
+
+@pytest.mark.parametrize("wrong",["observed", "clean", "endmembers"])
 def test_evaluate_checks_shapes_before_the_pass(wrong):
     em = EndmemberMatrix(np.eye(2))
     est = _ab([[0.5, 1.0], [0.5, 0.0]])

@@ -8,6 +8,7 @@ import hashlib
 import logging
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -53,7 +54,7 @@ class TestSceneSpec:
             (dict(bands=2, endmembers=3), "bands"),
             (dict(field_smoothness=0.0), "field_smoothness"),
             (dict(field_smoothness=-1.0), "field_smoothness"),
-            (dict(pure_pixel_fraction=1.5), "pure_pixel_fraction"),
+            (dict(field_smoothness=math.nan), "field_smoothness"),
             (dict(snr_db=float("nan")), "snr_db"),
             (dict(seed=-1), "seed"),
             (dict(seed=2.5), "seed"),
@@ -64,12 +65,12 @@ class TestSceneSpec:
             (dict(bands=None), "bands"),
             (dict(snr_db="10"), "snr_db"),
             (dict(snr_db=None), "snr_db"),
-            (dict(pure_pixel_fraction=None), "pure_pixel_fraction"),
+            (dict(seed=None), "seed"),
             (dict(field_smoothness="x"), "field_smoothness"),
             # an int past the float range, which float() refused with an
             # OverflowError naming no field
             (dict(field_smoothness=10**400), "field_smoothness must be a float"),
-            (dict(pure_pixel_fraction=10**400), "pure_pixel_fraction must be a float"),
+            (dict(snr_db=-10**400), "snr_db must be a float"),
             (dict(snr_db=10**400), "snr_db must be a float"),
             # a scene no float64 array can hold is refused before any allocation
             (dict(rows=10**400), "more values than an array can hold"),
@@ -88,6 +89,13 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match=fragment):
             SceneSpec(**base)
 
+    def test_pure_pixel_fraction_is_no_field(self):
+        # the share of pure pixels is the module constant PURE_PIXEL_FRACTION
+        with pytest.raises(TypeError, match="pure_pixel_fraction"):
+            SceneSpec(pure_pixel_fraction=0.1)
+        assert [f.name for f in fields(SceneSpec)] == [
+            "rows", "cols", "endmembers", "bands", "field_smoothness", "snr_db", "seed"]
+
 
 class TestGenerateAbundances:
     def test_columns_live_on_the_simplex(self):
@@ -96,19 +104,22 @@ class TestGenerateAbundances:
         assert a.values.min() >= 0.0
         npt.assert_allclose(a.values.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_all_pure_when_fraction_is_one(self):
-        a = generate_abundances(small_spec(pure_pixel_fraction=1.0))
+    def test_all_pure_when_fraction_is_one(self, monkeypatch):
+        monkeypatch.setattr(synth, "PURE_PIXEL_FRACTION", 1.0)
+        a = generate_abundances(small_spec())
         # every column must be a basis vector
         assert np.all(np.sort(a.values, axis=0)[:-1] == 0.0)
         npt.assert_array_equal(a.values.max(axis=0), 1.0)
 
-    def test_zero_fraction_keeps_strictly_mixed_pixels(self):
-        a = generate_abundances(small_spec(pure_pixel_fraction=0.0))
+    def test_zero_fraction_keeps_strictly_mixed_pixels(self, monkeypatch):
+        monkeypatch.setattr(synth, "PURE_PIXEL_FRACTION", 0.0)
+        a = generate_abundances(small_spec())
         assert a.values.min() > 0.0
         assert a.values.max() < 1.0
 
-    def test_pure_pixel_count_matches_fraction(self):
-        spec = small_spec(pure_pixel_fraction=0.1)
+    def test_pure_pixel_count_matches_fraction(self, monkeypatch):
+        monkeypatch.setattr(synth, "PURE_PIXEL_FRACTION", 0.1)
+        spec = small_spec()
         a = generate_abundances(spec)
         pure = int(np.sum(a.values.max(axis=0) == 1.0))
         assert pure == round(0.1 * spec.pixels)
@@ -140,7 +151,8 @@ class TestGenerateAbundances:
         assert np.any(first.values != second.values)
 
     def test_permuting_field_seeds_permutes_rows(self, monkeypatch):
-        spec = small_spec(pure_pixel_fraction=0.05)
+        monkeypatch.setattr(synth, "PURE_PIXEL_FRACTION", 0.05)
+        spec = small_spec()
         children = np.random.SeedSequence(spec.seed, spawn_key=(0,)).spawn(
             spec.endmembers + 1
         )
